@@ -23,11 +23,13 @@ from .modes import (
     MINUS,
     PLUS,
     QuadratureMode,
+    axis_names,
+    coefficient_matrix,
     db_to_linear,
     draw_axes,
-    evaluate_quadrature,
     new_coherent,
     variance,
+    weighted_axes,
 )
 from .protocols import (
     DealerConfig,
@@ -541,32 +543,35 @@ def compare_mode_to_samples(predicted: QuadratureMode, sampled: QuadratureMode,
 
     In normal operation ``predicted is sampled``; passing a different
     ``predicted`` turns this into a regression check that localises any
-    discrepancy to a noise axis.
+    discrepancy to a noise axis.  Only axes that add variance to either
+    mode are drawn and checked.
     """
-    axes = dict(sampled.axes)
-    axes.update(predicted.axes)
-    draws = draw_axes(axes, n_shots, seed)
+    axes = weighted_axes([sampled, predicted])
+    names = axis_names(axes)
+    moments = draw_axes(axes, n_shots, seed,
+                        coefficient_matrix([sampled.coeff_plus, sampled.coeff_minus], axes))
+    fluct_mean = moments.mean()
+    cov = moments.covariance()
+    axis_cov = moments.axis_covariance()
     findings = []
-    for quad in (PLUS, MINUS):
-        data = evaluate_quadrature(sampled, quad, draws)
+    for i, quad in enumerate((PLUS, MINUS)):
         v_pred = variance(predicted, quad)
-        v_emp = float(np.var(data, ddof=1))
-        mean_emp = float(np.mean(data))
+        v_emp = float(cov[i, i])
+        mean_emp = sampled.mean(quad) + float(fluct_mean[i])
         se_mean = math.sqrt(max(v_emp, 1e-30) / n_shots)
         findings.append(OracleFinding(row, f"mean.{quad}", None, (mean_emp - predicted.mean(quad)) / se_mean))
         se_var = max(v_emp, 1e-30) * math.sqrt(2.0 / (n_shots - 1))
         findings.append(OracleFinding(row, f"variance.{quad}", None, (v_emp - v_pred) / se_var))
-        centred = data - mean_emp
         coeffs = predicted.coeffs(quad)
-        for aid in sorted(set(coeffs) | set(sampled.coeffs(quad))):
-            ax = axes[aid]
-            if ax.variance == 0.0:
-                continue
-            est = float(np.dot(centred, draws[aid])) / ((n_shots - 1) * ax.variance)
-            resid = max(v_emp - coeffs.get(aid, 0.0) ** 2 * ax.variance, 0.0)
-            se = math.sqrt(max(resid / ax.variance, 1e-30) / n_shots)
-            z = (est - coeffs.get(aid, 0.0)) / se
-            findings.append(OracleFinding(row, f"coeff.{quad}", ax.label or str(aid), z))
+        for j, ax in enumerate(axes):
+            c = coeffs.get(ax.id, 0.0)
+            est = float(axis_cov[i, j]) / ax.variance
+            # The estimate is (1/n) sum of x d / variance with x = c d + r:
+            # its variance is (R / variance + 2 c^2) / n, R being the
+            # variance of r, so the axis's own spread counts too.
+            resid = max(v_emp - c * c * ax.variance, 0.0)
+            se = math.sqrt(max(resid / ax.variance + 2.0 * c * c, 1e-30) / n_shots)
+            findings.append(OracleFinding(row, f"coeff.{quad}", names[ax.id], (est - c) / se))
     return findings
 
 

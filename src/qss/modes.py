@@ -12,12 +12,27 @@ axes (modulation noise, detector dark noise) stand alone and carry no
 commutator weight.  All second moments are exact sums over shared axes,
 and :func:`monte_carlo_sample` provides an independent sampling oracle
 for any composed network.
+
+The oracle draws only the axes that add variance to a sampled
+quantity, in chunks of ``CHUNK_SHOTS`` shots, each from its own child
+of ``numpy.random.SeedSequence(seed)``; a chunk keeps only the moment
+sums of its fluctuations (:class:`SampleMoments`), and a quantity's mean
+is added after the sums, so a large mean does not cancel its variance.
+Chunks run on one thread per usable CPU and are summed in chunk order,
+so results are identical for any thread count.  A given seed yields
+other draws than the dict-of-arrays sampler of qss 1.0, which drew
+every axis, zero-weight ones included, from one generator.  From the
+sums, ``harness.compare_mode_to_samples`` estimates each axis
+coefficient c with the standard error √((R/σ² + 2c²)/n), R being the
+rest of the quadrature's variance and σ² the axis's; the 2c² term is the
+estimate's own spread, which qss 1.0 left out.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 
@@ -242,39 +257,117 @@ def is_physical(mode: QuadratureMode, tol: float = TOL) -> bool:
 # ---------------------------------------------------------------------------
 # Monte Carlo sampling oracle
 
-
-def collect_axes(objs) -> dict[int, NoiseAxis]:
-    axes: dict[int, NoiseAxis] = {}
-    for obj in objs:
-        axes.update(obj.axes)
-    return axes
+CHUNK_SHOTS = 1 << 16
 
 
-def draw_axes(axes: dict[int, NoiseAxis], n_shots: int, seed: int) -> dict[int, np.ndarray]:
-    """One N(0, variance) draw per axis per shot; deterministic under seed."""
-    rng = np.random.default_rng(seed)
-    draws = {}
-    for aid in sorted(axes):
-        ax = axes[aid]
-        if ax.variance == 0.0:
-            draws[aid] = np.zeros(n_shots)
-        else:
-            draws[aid] = rng.normal(0.0, math.sqrt(ax.variance), n_shots)
-    return draws
+def weighted_axes(modes) -> list[NoiseAxis]:
+    """Axes, in id order, that add variance to either quadrature of any
+    of ``modes``: a nonzero coefficient on an axis of nonzero variance."""
+    found: dict[int, NoiseAxis] = {}
+    for mode in modes:
+        for coeffs in (mode.coeff_plus, mode.coeff_minus):
+            for aid, c in coeffs.items():
+                ax = mode.axes[aid]
+                if c != 0.0 and ax.variance != 0.0:
+                    found[aid] = ax
+    return [found[aid] for aid in sorted(found)]
 
 
-def evaluate_quadrature(mode_or_signal, quadrature: str | None, draws: dict[int, np.ndarray]) -> np.ndarray:
-    if isinstance(mode_or_signal, QuadratureMode):
-        mean = mode_or_signal.mean(quadrature)
-        coeffs = mode_or_signal.coeffs(quadrature)
+def axis_names(axes) -> dict[int, str]:
+    """A unique name per axis: its label, with ``#<id>`` appended when
+    another of ``axes`` has the same label."""
+    labels = [ax.label or str(ax.id) for ax in axes]
+    return {ax.id: f"{lab}#{ax.id}" if labels.count(lab) > 1 else lab for ax, lab in zip(axes, labels)}
+
+
+def coefficient_matrix(rows, axes) -> np.ndarray:
+    """``(len(rows), len(axes))`` array of each coefficient dict in
+    ``rows`` on each axis."""
+    return np.array([[coeffs.get(ax.id, 0.0) for ax in axes] for coeffs in rows])
+
+
+@dataclass
+class SampleMoments:
+    """Sums over ``n_shots`` shots of the zero-mean fluctuations X = C D
+    of k sampled quantities, where D holds one N(0, variance) deviate per
+    drawn axis and shot: ΣX, X Xᵀ, X Dᵀ and ΣD."""
+
+    n_shots: int
+    sum_x: np.ndarray  # (k,)
+    xx: np.ndarray  # (k, k)
+    xd: np.ndarray  # (k, m)
+    sum_d: np.ndarray  # (m,)
+
+    def __add__(self, other: "SampleMoments") -> "SampleMoments":
+        return SampleMoments(self.n_shots + other.n_shots, self.sum_x + other.sum_x, self.xx + other.xx,
+                             self.xd + other.xd, self.sum_d + other.sum_d)
+
+    def mean(self) -> np.ndarray:
+        """Sample mean of the fluctuations."""
+        return self.sum_x / self.n_shots
+
+    def covariance(self) -> np.ndarray:
+        """Unbiased sample covariance of the sampled quantities."""
+        return (self.xx - np.outer(self.sum_x, self.sum_x) / self.n_shots) / max(self.n_shots - 1, 1)
+
+    def axis_covariance(self) -> np.ndarray:
+        """Unbiased sample covariance of each quantity with each axis."""
+        return (self.xd - np.outer(self.sum_x, self.sum_d) / self.n_shots) / max(self.n_shots - 1, 1)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+def _draw_chunks(seeds, sizes, scaled: np.ndarray, std: np.ndarray,
+                 z_buf: np.ndarray, x_buf: np.ndarray) -> list[SampleMoments]:
+    """Moments of each chunk in turn.  ``scaled`` is C with each column
+    multiplied by its axis's standard deviation, so X = C D = scaled Z for
+    the standard normal draws Z; Z and X are written into the flat
+    buffers ``z_buf`` and ``x_buf``."""
+    parts = []
+    for seed, n in zip(seeds, sizes):
+        z = z_buf[: len(std) * n].reshape(len(std), n)
+        np.random.default_rng(seed).standard_normal(out=z)
+        x = np.matmul(scaled, z, out=x_buf[: len(scaled) * n].reshape(len(scaled), n))
+        parts.append(SampleMoments(n, x.sum(axis=1), x @ x.T, (x @ z.T) * std, z.sum(axis=1) * std))
+    return parts
+
+
+def draw_axes(axes, n_shots: int, seed: int, coeffs: np.ndarray) -> SampleMoments:
+    """Draw one N(0, variance) deviate per axis in ``axes`` and shot, and
+    reduce the fluctuations X = ``coeffs`` @ D to :class:`SampleMoments`.
+
+    Deterministic under ``seed`` whatever the number of worker threads:
+    chunk j of ``CHUNK_SHOTS`` shots draws from
+    ``SeedSequence(seed).spawn(n_chunks)[j]`` and chunks are summed in
+    order.  Worker w of W takes chunks w, w + W, ...; there is one worker
+    per usable CPU, because the normal fill and the matrix products
+    release the interpreter lock.  Each worker's buffers are allocated
+    here, on the calling thread, so they come from one allocator arena
+    instead of staying cached in a fresh arena per worker thread.
+    """
+    if n_shots < 1:
+        raise ValueError("n_shots must be >= 1")
+    std = np.sqrt([ax.variance for ax in axes])
+    scaled = np.asarray(coeffs, dtype=float) * std
+    sizes = [min(CHUNK_SHOTS, n_shots - start) for start in range(0, n_shots, CHUNK_SHOTS)]
+    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
+    workers = min(len(sizes), _usable_cpus())
+    jobs = [(seeds[w::workers], sizes[w::workers], scaled, std,
+             np.empty(len(std) * sizes[0]), np.empty(len(scaled) * sizes[0])) for w in range(workers)]
+    if workers == 1:
+        parts = _draw_chunks(*jobs[0])
     else:
-        mean = mode_or_signal.mean
-        coeffs = mode_or_signal.coeffs
-    n = len(next(iter(draws.values()))) if draws else 0
-    out = np.full(n, float(mean))
-    for aid, c in coeffs.items():
-        out += c * draws[aid]
-    return out
+        from concurrent.futures import ThreadPoolExecutor  # here, to keep it out of import time
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            by_worker = [f.result() for f in [pool.submit(_draw_chunks, *job) for job in jobs]]
+        parts = [by_worker[j % workers][j // workers] for j in range(len(sizes))]
+    return sum(parts[1:], start=parts[0])
 
 
 @dataclass
@@ -301,8 +394,6 @@ def monte_carlo_sample(modes, n_shots: int, seed: int = 0) -> SampleStats:
     bare modes (both quadratures are then sampled with labels
     ``m{i}.plus`` / ``m{i}.minus``).
     """
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
     entries = []
     for i, item in enumerate(modes):
         if isinstance(item, tuple):
@@ -310,12 +401,10 @@ def monte_carlo_sample(modes, n_shots: int, seed: int = 0) -> SampleStats:
         else:
             entries.append((f"m{i}.plus", item, PLUS))
             entries.append((f"m{i}.minus", item, MINUS))
-    axes = collect_axes([e[1] for e in entries])
-    draws = draw_axes(axes, n_shots, seed)
-    samples = np.stack([evaluate_quadrature(m, q, draws) for _, m, q in entries])
-    means = samples.mean(axis=1)
-    cov = np.cov(samples) if len(entries) > 1 else np.array([[samples.var(ddof=1)]])
-    cov = np.atleast_2d(cov)
+    axes = weighted_axes([m for _, m, _ in entries])
+    moments = draw_axes(axes, n_shots, seed, coefficient_matrix([m.coeffs(q) for _, m, q in entries], axes))
+    means = np.array([m.mean(q) for _, m, q in entries]) + moments.mean()
+    cov = moments.covariance()
     var = np.diag(cov).copy()
     denom = max(n_shots - 1, 1)
     mean_se = np.sqrt(var / n_shots)

@@ -40,6 +40,7 @@ from .modes import (
     PLUS,
     ClassicalSignal,
     QuadratureMode,
+    axis_names,
     classical_axis,
     covariance,
     new_coherent,
@@ -123,12 +124,10 @@ def secret_gains(secret: QuadratureMode, output: QuadratureMode) -> tuple[float,
 
 def make_report(secret: QuadratureMode, output: QuadratureMode, params: dict | None = None) -> ReconstructionReport:
     g_p, g_m = secret_gains(secret, output)
-    table = {}
-    for aid in sorted(output.axes):
-        cp = output.coeff_plus.get(aid, 0.0)
-        cm = output.coeff_minus.get(aid, 0.0)
-        if cp or cm:
-            table[output.axes[aid].label or str(aid)] = (cp, cm)
+    weighted = [output.axes[aid] for aid in sorted(output.axes)
+                if output.coeff_plus.get(aid, 0.0) or output.coeff_minus.get(aid, 0.0)]
+    table = {name: (output.coeff_plus.get(aid, 0.0), output.coeff_minus.get(aid, 0.0))
+             for aid, name in axis_names(weighted).items()}
     return ReconstructionReport(
         g_p,
         g_m,

@@ -1,9 +1,10 @@
 import dataclasses
 import json
+import statistics
 
 import pytest
 
-from qss import cli, harness
+from qss import cli, harness, modes
 from qss.harness import (
     ConfigError,
     ExperimentConfig,
@@ -19,7 +20,8 @@ from qss.harness import (
     rows_to_csv,
     run,
 )
-from qss.modes import PLUS, QuadratureMode
+from qss.modes import CHUNK_SHOTS, PLUS, QuadratureMode
+from qss.protocols import make_report
 
 
 def small_adversary_config(**kw):
@@ -210,6 +212,54 @@ def test_oracle_localises_corrupted_coefficient():
     # the conjugate quadrature stays clean
     assert all(not f.quantity.endswith(".minus") for f in bad
                if f.quantity.startswith("coeff"))
+
+
+def test_oracle_coefficient_z_has_unit_spread():
+    # The secret axes dominate the mz output, so a standard error that
+    # left out the estimate's own spread would inflate their z about 7x.
+    cfg = preset_config("fig3b-inset-mz")
+    pipe = build_pipeline(cfg, None, None, cfg.sweep_v_n.start)
+    zs = [f.z for seed in range(40)
+          for f in compare_mode_to_samples(pipe.raw, pipe.raw, 20_000, seed)
+          if (f.quantity, f.axis_label) in {("coeff.plus", "secret.plus"), ("coeff.minus", "secret.minus")}]
+    assert len(zs) == 80
+    assert 0.7 <= statistics.stdev(zs) <= 1.3
+
+
+def _weighted_ids(mode):
+    return {aid for coeffs in (mode.coeff_plus, mode.coeff_minus) for aid, c in coeffs.items() if c}
+
+
+def test_oracle_draws_only_weighted_axes(monkeypatch):
+    drawn = []
+    real = harness.draw_axes
+    monkeypatch.setattr(harness, "draw_axes", lambda axes, *a: drawn.append(axes) or real(axes, *a))
+    cfg = preset_config("fig3b-inset-mz")
+    pipe = build_pipeline(cfg, None, None, cfg.sweep_v_n.start)
+    compare_mode_to_samples(pipe.raw, pipe.raw, 10_000, 1)
+    weighted = _weighted_ids(pipe.raw)
+    assert len(pipe.raw.axes) > len(weighted)
+    assert sorted(ax.id for ax in drawn[0]) == sorted(weighted)
+
+
+def test_oracle_reports_identical_for_any_worker_count(monkeypatch):
+    cfg = dataclasses.replace(small_adversary_config(), shots=3 * CHUNK_SHOTS + 1, oracle_rows=2)
+    pipe = build_pipeline(cfg, None, None, 10.0)
+    runs = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(modes, "_usable_cpus", lambda cpus=cpus: cpus)
+        runs.append((oracle_check(cfg), compare_mode_to_samples(pipe.raw, pipe.raw, cfg.shots, 4)))
+    assert runs[0] == runs[1]
+
+
+def test_axis_names_are_unique_when_labels_collide():
+    # At gain 10, fig3b's output carries two axes labelled mm_ff_bs.plus.
+    pipe = build_pipeline(preset_config("fig3b"), None, 10.0, None)
+    assert len(_weighted_ids(pipe.raw)) == 19
+    assert len(make_report(pipe.secret, pipe.raw).coefficients) == 19
+    findings = compare_mode_to_samples(pipe.raw, pipe.raw, 10_000, 2)
+    pairs = [(f.quantity, f.axis_label) for f in findings]
+    assert len(pairs) == len(set(pairs)) == 4 + 2 * 19
 
 
 def test_oracle_requires_enough_shots():

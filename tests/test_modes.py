@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -5,14 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qss import modes
 from qss.modes import (
+    CHUNK_SHOTS,
     MINUS,
     PLUS,
+    ClassicalSignal,
     QuadratureMode,
     classical_axis,
+    coefficient_matrix,
     commutator_weight,
     covariance,
     db_to_linear,
+    draw_axes,
     is_physical,
     linear_combine,
     monte_carlo_sample,
@@ -22,6 +28,7 @@ from qss.modes import (
     quantum_pair,
     signal_variance,
     variance,
+    weighted_axes,
 )
 
 
@@ -154,3 +161,57 @@ def test_monte_carlo_deterministic():
     s2 = monte_carlo_sample([m], 1000, seed=42)
     assert np.array_equal(s1.means, s2.means)
     assert np.array_equal(s1.variances, s2.variances)
+
+
+def _sampled_network():
+    """Two modes over the axes of a and b, plus an idle vacuum whose
+    coefficients cancel and a zero-variance classical noise."""
+    a = new_coherent(2.0, -1.0, "a")
+    b = new_squeezed(0.4, label="b")
+    idle = new_vacuum("idle")
+    silent = classical_axis(0.0, "silent")
+    noise = ClassicalSignal(0.0, {silent.id: 1.0}, {silent.id: silent})
+    m = linear_combine([(0.6, 0.6, a), (0.8, -0.8, b), (0.3, 0.3, idle), (-0.3, -0.3, idle), (1.0, 1.0, noise)])
+    return m, linear_combine([(0.5, 0.5, a)])
+
+
+@pytest.mark.parametrize("n_shots", [CHUNK_SHOTS + 1, 1000])
+def test_draw_axes_moments_match_regenerated_chunks(n_shots):
+    m1, m2 = _sampled_network()
+    axes = weighted_axes([m1, m2])
+    coeffs = coefficient_matrix([m1.coeff_plus, m1.coeff_minus, m2.coeff_plus], axes)
+    got = draw_axes(axes, n_shots, 5, coeffs)
+
+    sizes = [min(CHUNK_SHOTS, n_shots - s) for s in range(0, n_shots, CHUNK_SHOTS)]
+    std = np.sqrt([ax.variance for ax in axes])[:, None]
+    d = np.hstack([std * np.random.default_rng(child).standard_normal((len(axes), n))
+                   for child, n in zip(np.random.SeedSequence(5).spawn(len(sizes)), sizes)])
+    x = coeffs @ d
+    assert got.n_shots == n_shots
+    for value, want in ((got.sum_x, x.sum(axis=1)), (got.xx, x @ x.T),
+                        (got.xd, x @ d.T), (got.sum_d, d.sum(axis=1))):
+        np.testing.assert_allclose(value, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_only_weighted_axes_are_drawn():
+    m1, m2 = _sampled_network()
+    assert len(m1.axes) == 7
+    assert [ax.label for ax in weighted_axes([m1, m2])] == ["a.plus", "a.minus", "b.plus", "b.minus"]
+
+
+def test_worker_count_capped_by_cpus_and_chunks(monkeypatch):
+    pools = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+    m1, _ = _sampled_network()
+    axes = weighted_axes([m1])
+    coeffs = coefficient_matrix([m1.coeff_plus], axes)
+    for cpus, n_shots in ((8, 3 * CHUNK_SHOTS), (2, 3 * CHUNK_SHOTS), (8, CHUNK_SHOTS)):
+        monkeypatch.setattr(modes, "_usable_cpus", lambda cpus=cpus: cpus)
+        draw_axes(axes, n_shots, 1, coeffs)
+    assert pools == [3, 2]  # one chunk runs inline, with no pool
