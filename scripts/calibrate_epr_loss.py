@@ -12,8 +12,7 @@ Defaults: target 0.44 at -4.5 dB squeezing (the published calibration).
 import sys
 
 from qss.components import epr_pair, loss
-from qss.harness import fit_symmetric_epr_loss
-from qss.metrics import duan_inseparability, reid_epr
+from qss.metrics import duan_inseparability, fit_symmetric_epr_loss, reid_epr
 from qss.modes import MINUS, PLUS, db_to_linear, new_squeezed
 
 

@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 
 from .modes import (
-    MINUS,
     PLUS,
     ClassicalSignal,
     QuadratureMode,
+    _accumulate,
     classical_axis,
     linear_combine,
     new_vacuum,
@@ -68,22 +68,16 @@ def phase_shift(mode: QuadratureMode, phi: float) -> QuadratureMode:
     """Rotate the quadratures: X+' = cos(phi) X+ - sin(phi) X-."""
     mode.require_live()
     c, s = math.cos(phi), math.sin(phi)
-    coeff_p: dict[int, float] = {}
-    coeff_m: dict[int, float] = {}
-    for aid, v in mode.coeff_plus.items():
-        coeff_p[aid] = coeff_p.get(aid, 0.0) + c * v
-        coeff_m[aid] = coeff_m.get(aid, 0.0) + s * v
-    for aid, v in mode.coeff_minus.items():
-        coeff_p[aid] = coeff_p.get(aid, 0.0) - s * v
-        coeff_m[aid] = coeff_m.get(aid, 0.0) + c * v
-    coeff_p = {a: v for a, v in coeff_p.items() if v != 0.0}
-    coeff_m = {a: v for a, v in coeff_m.items() if v != 0.0}
+    coeff_p, coeff_m = {}, {}
+    _accumulate(coeff_p, mode.coeff_plus, c)
+    _accumulate(coeff_p, mode.coeff_minus, -s)
+    _accumulate(coeff_m, mode.coeff_plus, s)
+    _accumulate(coeff_m, mode.coeff_minus, c)
     return QuadratureMode(
         c * mode.mean_plus - s * mode.mean_minus,
         s * mode.mean_plus + c * mode.mean_minus,
         coeff_p,
         coeff_m,
-        dict(mode.axes),
     )
 
 
@@ -133,43 +127,23 @@ def homodyne(mode: QuadratureMode, quadrature: str, det: DetectorSpec = IDEAL_DE
     mode.require_live()
     mode.consumed = True
     eta = det.efficiency
-    sig = ClassicalSignal(
-        math.sqrt(eta) * mode.mean(quadrature),
-        {aid: math.sqrt(eta) * c for aid, c in mode.coeffs(quadrature).items()},
-        dict(mode.axes),
-    )
+    coeffs: dict = {}
+    _accumulate(coeffs, mode.coeffs(quadrature), math.sqrt(eta))
     if eta < 1.0:
-        vac = new_vacuum("hd_vac")
-        sig.axes.update(vac.axes)
-        for aid, c in vac.coeffs(quadrature).items():
-            sig.coeffs[aid] = sig.coeffs.get(aid, 0.0) + math.sqrt(1.0 - eta) * c
+        _accumulate(coeffs, new_vacuum("hd_vac").coeffs(quadrature), math.sqrt(1.0 - eta))
     if det.dark_noise_variance > 0.0:
-        dark = classical_axis(det.dark_noise_variance, "dark")
-        sig.axes[dark.id] = dark
-        sig.coeffs[dark.id] = 1.0
-    return sig
+        coeffs[classical_axis(det.dark_noise_variance, "dark")] = 1.0
+    return ClassicalSignal(math.sqrt(eta) * mode.mean(quadrature), coeffs)
 
 
 def displace(target: QuadratureMode, quadrature: str, signal: ClassicalSignal, gain: float) -> QuadratureMode:
     """Add ``gain * signal`` (mean and fluctuations) to one quadrature."""
     target.require_live()
-    coeff_p = dict(target.coeff_plus)
-    coeff_m = dict(target.coeff_minus)
-    mean_p, mean_m = target.mean_plus, target.mean_minus
-    coeffs = coeff_p if quadrature == PLUS else coeff_m
-    for aid, c in signal.coeffs.items():
-        v = coeffs.get(aid, 0.0) + gain * c
-        if v == 0.0:
-            coeffs.pop(aid, None)
-        else:
-            coeffs[aid] = v
+    coeffs = dict(target.coeffs(quadrature))
+    _accumulate(coeffs, signal.coeffs, gain)
     if quadrature == PLUS:
-        mean_p += gain * signal.mean
-    else:
-        mean_m += gain * signal.mean
-    axes = dict(target.axes)
-    axes.update(signal.axes)
-    return QuadratureMode(mean_p, mean_m, coeff_p, coeff_m, axes)
+        return QuadratureMode(target.mean_plus + gain * signal.mean, target.mean_minus, coeffs, target.coeff_minus)
+    return QuadratureMode(target.mean_plus, target.mean_minus + gain * signal.mean, target.coeff_plus, coeffs)
 
 
 def lo_displace(

@@ -32,6 +32,12 @@ from .modes import (
     weighted_axes,
 )
 from .protocols import (
+    DOUBLE_FF_REFLECTIVITY,
+    SINGLE_FF_REFLECTIVITY,
+    UNITY_DOUBLE_FF_GAIN,
+    UNITY_PIA_GAIN,
+    UNITY_SINGLE_FF_GAIN,
+    UNITY_TWO_OPA_GAIN,
     DealerConfig,
     classical_bounds,
     dealer_encode,
@@ -145,12 +151,12 @@ class ExperimentConfig:
             return IDEAL_DETECTOR
         return DetectorSpec(self.eta_ff, self.dark_noise)
 
-    def dealer(self, v_n: float | None = None) -> DealerConfig:
+    def dealer(self, v_n: float) -> DealerConfig:
         eff = {"epr1_in": self.eta_epr1_in} if self.eta_epr1_in < 1.0 else {}
         return DealerConfig(
             v_sq=self.v_sq,
             v_anti=self.v_anti,
-            v_n=self.v_n if v_n is None else v_n,
+            v_n=v_n,
             efficiencies=eff,
             secret=new_coherent(self.secret_mean_plus, self.secret_mean_minus, "secret"),
         )
@@ -275,28 +281,36 @@ class PipelineResult:
     error: str | None = None
 
 
-def _default_reflectivity(protocol: str) -> float:
-    return 0.5 if protocol == "double_ff" else 2.0 / 3.0
+# The gain knob of each protocol that has one; mz and the adversary views
+# have none, and their rows show gain 0.
+_DEFAULT_GAIN = {
+    "pia": UNITY_PIA_GAIN,
+    "two_opa": UNITY_TWO_OPA_GAIN,
+    "single_ff": UNITY_SINGLE_FF_GAIN,
+    "double_ff": UNITY_DOUBLE_FF_GAIN,
+}
 
 
-def _default_gain(protocol: str) -> float:
-    return {
-        "pia": 2.0,
-        "two_opa": 3.0 + 2.0 * math.sqrt(2.0),
-        "single_ff": 2.0 * math.sqrt(2.0),
-        "double_ff": 1.0,
-    }.get(protocol, 0.0)
+def _knobs(cfg: ExperimentConfig, reflectivity: float | None, gain: float | None,
+           v_n: float | None) -> tuple[float, float, float]:
+    """Reflectivity, gain and classical noise of one run: each the given
+    value, else the config's, else the protocol's default."""
+    if reflectivity is None:
+        reflectivity = cfg.reflectivity if cfg.reflectivity is not None else (
+            DOUBLE_FF_REFLECTIVITY if cfg.protocol == "double_ff" else SINGLE_FF_REFLECTIVITY)
+    if gain is None:
+        gain = cfg.gain if cfg.gain is not None else _DEFAULT_GAIN.get(cfg.protocol, 0.0)
+    return reflectivity, gain, cfg.v_n if v_n is None else v_n
 
 
 def build_pipeline(cfg: ExperimentConfig, reflectivity: float | None, gain: float | None,
                    v_n: float | None) -> PipelineResult:
-    """One dealer + reconstruction run at explicit knob settings."""
-    shares = dealer_encode(cfg.dealer(v_n))
+    """One dealer + reconstruction run at explicit knob settings; a knob
+    left as None takes its default (see :func:`_knobs`)."""
+    r, g, n = _knobs(cfg, reflectivity, gain, v_n)
+    shares = dealer_encode(cfg.dealer(n))
     secret = shares.secret
     share_a = shares.share(cfg.player)
-    r = reflectivity if reflectivity is not None else (
-        cfg.reflectivity if cfg.reflectivity is not None else _default_reflectivity(cfg.protocol))
-    g = gain if gain is not None else (cfg.gain if cfg.gain is not None else _default_gain(cfg.protocol))
 
     try:
         if cfg.protocol == "mz":
@@ -368,13 +382,10 @@ def _grid(cfg: ExperimentConfig):
 
 
 def _evaluate_row(cfg: ExperimentConfig, r, g, n) -> dict:
+    r, g, n = _knobs(cfg, r, g, n)
     pipe = build_pipeline(cfg, r, g, n)
     row = {c: float("nan") for c in CSV_COLUMNS}
-    row["protocol"] = cfg.protocol
-    row["reflectivity"] = r if r is not None else (cfg.reflectivity if cfg.reflectivity is not None else _default_reflectivity(cfg.protocol))
-    row["gain"] = g if g is not None else (cfg.gain if cfg.gain is not None else _default_gain(cfg.protocol))
-    row["v_n"] = n if n is not None else cfg.v_n
-    row["oracle_max_z"] = None
+    row.update(protocol=cfg.protocol, reflectivity=r, gain=g, v_n=n, oracle_max_z=None)
     if pipe.error:
         row["error"] = pipe.error
         return row
@@ -564,14 +575,14 @@ def compare_mode_to_samples(predicted: QuadratureMode, sampled: QuadratureMode,
         findings.append(OracleFinding(row, f"variance.{quad}", None, (v_emp - v_pred) / se_var))
         coeffs = predicted.coeffs(quad)
         for j, ax in enumerate(axes):
-            c = coeffs.get(ax.id, 0.0)
+            c = coeffs.get(ax, 0.0)
             est = float(axis_cov[i, j]) / ax.variance
             # The estimate is (1/n) sum of x d / variance with x = c d + r:
             # its variance is (R / variance + 2 c^2) / n, R being the
             # variance of r, so the axis's own spread counts too.
             resid = max(v_emp - c * c * ax.variance, 0.0)
             se = math.sqrt(max(resid / ax.variance + 2.0 * c * c, 1e-30) / n_shots)
-            findings.append(OracleFinding(row, f"coeff.{quad}", names[ax.id], (est - c) / se))
+            findings.append(OracleFinding(row, f"coeff.{quad}", names[ax], (est - c) / se))
     return findings
 
 
@@ -627,9 +638,16 @@ def rows_to_csv(columns: list[str], rows: list[dict]) -> str:
 
 
 def result_to_json(result: RunResult) -> str:
+    """The rows, with an ``error`` entry on each failed one, and the
+    summary as JSON."""
+    rows = []
+    for row in result.rows:
+        rows.append({c: row.get(c) for c in result.columns})
+        if row.get("error"):
+            rows[-1]["error"] = row["error"]
     payload = {
         "columns": result.columns,
-        "rows": [{c: row.get(c) for c in result.columns} for row in result.rows],
+        "rows": rows,
         "summary": result.summary,
     }
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
@@ -697,29 +715,3 @@ def preset_config(name: str) -> ExperimentConfig:
         return PRESETS[name]()
     except KeyError:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-
-
-def fit_symmetric_epr_loss(target_duan: float, v_sq: float, v_anti: float | None = None,
-                           tol: float = 1e-6) -> float:
-    """Efficiency eta, applied to both entangled beams, that reproduces a
-    measured inseparability value (calibration fit, not ground truth)."""
-    from .components import epr_pair, loss
-    from .metrics import duan_inseparability
-    from .modes import new_squeezed
-
-    def duan_at(eta: float) -> float:
-        s1 = new_squeezed(v_sq, v_anti, MINUS, "s1")
-        s2 = new_squeezed(v_sq, v_anti, PLUS, "s2")
-        e1, e2 = epr_pair(s1, s2)
-        return duan_inseparability(loss(e1, eta), loss(e2, eta))
-
-    lo, hi = 0.0, 1.0
-    if not duan_at(0.0) >= target_duan >= duan_at(1.0):
-        raise ValueError("target inseparability is outside the reachable range")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if duan_at(mid) > target_duan:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .components import loss, phase_insensitive_amp, phase_sensitive_amp, phase_shift
-from .modes import MINUS, PLUS, QuadratureMode, covariance, new_vacuum, variance
+from .components import epr_pair, loss, phase_insensitive_amp, phase_sensitive_amp, phase_shift
+from .modes import MINUS, PLUS, QuadratureMode, covariance, new_squeezed, new_vacuum, variance
 from .protocols import classical_bounds, secret_gains
 
 COHERENT_TOL = 1e-9
@@ -129,6 +129,29 @@ def duan_inseparability(epr1: QuadratureMode, epr2: QuadratureMode) -> float:
         c = covariance(epr1, q, epr2, q)
         best.append(min(va + vb + 2 * c, va + vb - 2 * c) / 2.0)
     return math.sqrt(best[0] * best[1])
+
+
+def fit_symmetric_epr_loss(target_duan: float, v_sq: float, v_anti: float | None = None,
+                           tol: float = 1e-6) -> float:
+    """Efficiency eta, applied to both entangled beams, that reproduces a
+    measured inseparability value (calibration fit, not ground truth)."""
+
+    def duan_at(eta: float) -> float:
+        s1 = new_squeezed(v_sq, v_anti, MINUS, "s1")
+        s2 = new_squeezed(v_sq, v_anti, PLUS, "s2")
+        e1, e2 = epr_pair(s1, s2)
+        return duan_inseparability(loss(e1, eta), loss(e2, eta))
+
+    lo, hi = 0.0, 1.0
+    if not duan_at(0.0) >= target_duan >= duan_at(1.0):
+        raise ValueError("target inseparability is outside the reachable range")
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if duan_at(mid) > target_duan:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 def reid_epr(epr1: QuadratureMode, epr2: QuadratureMode) -> float:

@@ -13,6 +13,13 @@ commutator weight.  All second moments are exact sums over shared axes,
 and :func:`monte_carlo_sample` provides an independent sampling oracle
 for any composed network.
 
+Coefficient dicts are keyed by the :class:`NoiseAxis` objects
+themselves, which compare and hash by identity, so a mode's axes are
+exactly its coefficient keys; an axis whose coefficients cancel leaves
+no key.  A coefficient dict is never changed after it is built, so modes
+and signals may share one.  The axis ``id`` only orders axes by
+creation.
+
 The oracle draws only the axes that add variance to a sampled
 quantity, in chunks of ``CHUNK_SHOTS`` shots, each from its own child
 of ``numpy.random.SeedSequence(seed)``; a chunk keeps only the moment
@@ -52,11 +59,11 @@ def _next_axis_id() -> int:
         return next(_axis_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseAxis:
-    """One independent scalar Gaussian fluctuation source."""
+    """One independent scalar Gaussian fluctuation source, equal only to itself."""
 
-    id: int
+    id: int  # creation order
     variance: float
     kind: str  # "quantum" or "classical"
     partner: int | None = None  # conjugate axis of the same elementary mode
@@ -92,11 +99,10 @@ class ClassicalSignal:
     physicality constraint."""
 
     mean: float
-    coeffs: dict[int, float]
-    axes: dict[int, NoiseAxis]
+    coeffs: dict[NoiseAxis, float]
 
     def scaled(self, k: float) -> "ClassicalSignal":
-        return ClassicalSignal(k * self.mean, {a: k * c for a, c in self.coeffs.items()}, dict(self.axes))
+        return ClassicalSignal(k * self.mean, {ax: k * c for ax, c in self.coeffs.items()})
 
 
 @dataclass
@@ -109,9 +115,8 @@ class QuadratureMode:
 
     mean_plus: float
     mean_minus: float
-    coeff_plus: dict[int, float]
-    coeff_minus: dict[int, float]
-    axes: dict[int, NoiseAxis]
+    coeff_plus: dict[NoiseAxis, float]
+    coeff_minus: dict[NoiseAxis, float]
     consumed: bool = field(default=False, compare=False)
 
     def require_live(self):
@@ -121,35 +126,39 @@ class QuadratureMode:
     def mean(self, quadrature: str) -> float:
         return self.mean_plus if quadrature == PLUS else self.mean_minus
 
-    def coeffs(self, quadrature: str) -> dict[int, float]:
+    def coeffs(self, quadrature: str) -> dict[NoiseAxis, float]:
         return self.coeff_plus if quadrature == PLUS else self.coeff_minus
 
     def signal(self, quadrature: str) -> ClassicalSignal:
         """The selected quadrature as a classical linear functional."""
-        return ClassicalSignal(self.mean(quadrature), dict(self.coeffs(quadrature)), dict(self.axes))
+        return ClassicalSignal(self.mean(quadrature), self.coeffs(quadrature))
 
 
-def _merge_axes(parts) -> dict[int, NoiseAxis]:
-    merged: dict[int, NoiseAxis] = {}
-    for p in parts:
-        merged.update(p.axes)
-    return merged
-
-
-def _accumulate(target: dict[int, float], coeffs: dict[int, float], k: float):
+def _accumulate(target: dict[NoiseAxis, float], coeffs: dict[NoiseAxis, float], k: float):
+    """Add ``k * coeffs`` into ``target``, dropping keys that sum to zero."""
     if k == 0.0:
         return
-    for aid, c in coeffs.items():
-        v = target.get(aid, 0.0) + k * c
+    for ax, c in coeffs.items():
+        v = target.get(ax, 0.0) + k * c
         if v == 0.0:
-            target.pop(aid, None)
+            target.pop(ax, None)
         else:
-            target[aid] = v
+            target[ax] = v
+
+
+def _creation_order(axes) -> list[NoiseAxis]:
+    """``axes`` without repeats, oldest first."""
+    return sorted(set(axes), key=lambda ax: ax.id)
+
+
+def mode_axes(*modes: QuadratureMode) -> list[NoiseAxis]:
+    """The axes of ``modes``, that is their coefficient keys, oldest first."""
+    return _creation_order(ax for m in modes for ax in (*m.coeff_plus, *m.coeff_minus))
 
 
 def new_vacuum(label: str = "vac") -> QuadratureMode:
     ax_p, ax_m = quantum_pair(1.0, 1.0, label)
-    return QuadratureMode(0.0, 0.0, {ax_p.id: 1.0}, {ax_m.id: 1.0}, {ax_p.id: ax_p, ax_m.id: ax_m})
+    return QuadratureMode(0.0, 0.0, {ax_p: 1.0}, {ax_m: 1.0})
 
 
 def new_squeezed(
@@ -176,12 +185,12 @@ def new_squeezed(
     else:
         raise ValueError(f"unknown quadrature {squeezed_quadrature!r}")
     ax_p, ax_m = quantum_pair(v_plus, v_minus, label)
-    return QuadratureMode(0.0, 0.0, {ax_p.id: 1.0}, {ax_m.id: 1.0}, {ax_p.id: ax_p, ax_m.id: ax_m})
+    return QuadratureMode(0.0, 0.0, {ax_p: 1.0}, {ax_m: 1.0})
 
 
 def new_coherent(mean_plus: float, mean_minus: float, label: str = "coh") -> QuadratureMode:
     mode = new_vacuum(label)
-    return QuadratureMode(mean_plus, mean_minus, mode.coeff_plus, mode.coeff_minus, mode.axes)
+    return QuadratureMode(mean_plus, mean_minus, mode.coeff_plus, mode.coeff_minus)
 
 
 def db_to_linear(db: float) -> float:
@@ -197,11 +206,9 @@ def linear_combine(terms) -> QuadratureMode:
     contribute ``c_plus * signal`` to X+ and ``c_minus * signal`` to X-.
     """
     mean_p = mean_m = 0.0
-    coeff_p: dict[int, float] = {}
-    coeff_m: dict[int, float] = {}
-    axes: dict[int, NoiseAxis] = {}
+    coeff_p: dict[NoiseAxis, float] = {}
+    coeff_m: dict[NoiseAxis, float] = {}
     for c_plus, c_minus, obj in terms:
-        axes.update(obj.axes)
         if isinstance(obj, QuadratureMode):
             obj.require_live()
             mean_p += c_plus * obj.mean_plus
@@ -213,26 +220,22 @@ def linear_combine(terms) -> QuadratureMode:
             mean_m += c_minus * obj.mean
             _accumulate(coeff_p, obj.coeffs, c_plus)
             _accumulate(coeff_m, obj.coeffs, c_minus)
-    return QuadratureMode(mean_p, mean_m, coeff_p, coeff_m, axes)
+    return QuadratureMode(mean_p, mean_m, coeff_p, coeff_m)
 
 
 def variance(mode: QuadratureMode, quadrature: str) -> float:
-    c = mode.coeffs(quadrature)
-    return sum(v * v * mode.axes[aid].variance for aid, v in c.items())
+    return sum(v * v * ax.variance for ax, v in mode.coeffs(quadrature).items())
 
 
 def covariance(mode_a: QuadratureMode, quad_a: str, mode_b: QuadratureMode, quad_b: str) -> float:
     ca, cb = mode_a.coeffs(quad_a), mode_b.coeffs(quad_b)
     if len(cb) < len(ca):
         ca, cb = cb, ca
-        axes = mode_b.axes
-    else:
-        axes = mode_a.axes
-    return sum(c * cb[aid] * axes[aid].variance for aid, c in ca.items() if aid in cb)
+    return sum(c * cb[ax] * ax.variance for ax, c in ca.items() if ax in cb)
 
 
 def signal_variance(sig: ClassicalSignal) -> float:
-    return sum(c * c * sig.axes[aid].variance for aid, c in sig.coeffs.items())
+    return sum(c * c * ax.variance for ax, c in sig.coeffs.items())
 
 
 def commutator_weight(mode: QuadratureMode) -> float:
@@ -242,11 +245,12 @@ def commutator_weight(mode: QuadratureMode) -> float:
     classical axes contribute nothing.
     """
     cp, cm = mode.coeff_plus, mode.coeff_minus
+    by_id = {ax.id: ax for ax in (*cp, *cm)}
     w = 0.0
-    for aid, ax in mode.axes.items():
-        if ax.kind == "quantum" and ax.role == PLUS:
-            y = ax.partner
-            w += cp.get(aid, 0.0) * cm.get(y, 0.0) - cp.get(y, 0.0) * cm.get(aid, 0.0)
+    for ax in by_id.values():
+        if ax.role == PLUS:
+            y = by_id.get(ax.partner)
+            w += cp.get(ax, 0.0) * cm.get(y, 0.0) - cp.get(y, 0.0) * cm.get(ax, 0.0)
     return w
 
 
@@ -261,29 +265,27 @@ CHUNK_SHOTS = 1 << 16
 
 
 def weighted_axes(modes) -> list[NoiseAxis]:
-    """Axes, in id order, that add variance to either quadrature of any
-    of ``modes``: a nonzero coefficient on an axis of nonzero variance."""
-    found: dict[int, NoiseAxis] = {}
-    for mode in modes:
-        for coeffs in (mode.coeff_plus, mode.coeff_minus):
-            for aid, c in coeffs.items():
-                ax = mode.axes[aid]
-                if c != 0.0 and ax.variance != 0.0:
-                    found[aid] = ax
-    return [found[aid] for aid in sorted(found)]
+    """Axes, in creation order, that add variance to either quadrature of
+    any of ``modes``: a nonzero coefficient on an axis of nonzero variance."""
+    return _creation_order(ax for mode in modes for coeffs in (mode.coeff_plus, mode.coeff_minus)
+                           for ax, c in coeffs.items() if c != 0.0 and ax.variance != 0.0)
 
 
-def axis_names(axes) -> dict[int, str]:
-    """A unique name per axis: its label, with ``#<id>`` appended when
-    another of ``axes`` has the same label."""
-    labels = [ax.label or str(ax.id) for ax in axes]
-    return {ax.id: f"{lab}#{ax.id}" if labels.count(lab) > 1 else lab for ax, lab in zip(axes, labels)}
+def axis_names(axes) -> dict[NoiseAxis, str]:
+    """A unique name per axis: its label, with ``#<k>`` appended when
+    several of ``axes`` share the label, k being the axis's 1-based rank
+    among them in creation order."""
+    groups: dict[str, list[NoiseAxis]] = {}
+    for ax in _creation_order(axes):
+        groups.setdefault(ax.label, []).append(ax)
+    return {ax: ax.label if len(groups[ax.label]) == 1 else f"{ax.label}#{groups[ax.label].index(ax) + 1}"
+            for ax in axes}
 
 
 def coefficient_matrix(rows, axes) -> np.ndarray:
     """``(len(rows), len(axes))`` array of each coefficient dict in
     ``rows`` on each axis."""
-    return np.array([[coeffs.get(ax.id, 0.0) for ax in axes] for coeffs in rows])
+    return np.array([[coeffs.get(ax, 0.0) for ax in axes] for coeffs in rows])
 
 
 @dataclass

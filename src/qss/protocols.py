@@ -39,10 +39,12 @@ from .modes import (
     MINUS,
     PLUS,
     ClassicalSignal,
+    NoiseAxis,
     QuadratureMode,
     axis_names,
     classical_axis,
     covariance,
+    mode_axes,
     new_coherent,
     new_squeezed,
     new_vacuum,
@@ -53,6 +55,9 @@ DEFAULT_SECRET_MEANS = (5.0, 5.0)
 UNITY_PIA_GAIN = 2.0
 UNITY_TWO_OPA_GAIN = 3.0 + 2.0 * math.sqrt(2.0)
 UNITY_SINGLE_FF_GAIN = 2.0 * math.sqrt(2.0)
+UNITY_DOUBLE_FF_GAIN = 1.0  # the optical gain the double feed-forward solves for
+SINGLE_FF_REFLECTIVITY = 2.0 / 3.0  # the optimal 2:1 splitter
+DOUBLE_FF_REFLECTIVITY = 0.5
 
 
 @dataclass
@@ -91,7 +96,7 @@ class ShareSet:
     share2: QuadratureMode
     share3: QuadratureMode
     secret: QuadratureMode
-    axis_tags: dict[str, list[int]]
+    axis_tags: dict[str, list[NoiseAxis]]
 
     def share(self, k: int) -> QuadratureMode:
         return {1: self.share1, 2: self.share2, 3: self.share3}[k]
@@ -124,10 +129,8 @@ def secret_gains(secret: QuadratureMode, output: QuadratureMode) -> tuple[float,
 
 def make_report(secret: QuadratureMode, output: QuadratureMode, params: dict | None = None) -> ReconstructionReport:
     g_p, g_m = secret_gains(secret, output)
-    weighted = [output.axes[aid] for aid in sorted(output.axes)
-                if output.coeff_plus.get(aid, 0.0) or output.coeff_minus.get(aid, 0.0)]
-    table = {name: (output.coeff_plus.get(aid, 0.0), output.coeff_minus.get(aid, 0.0))
-             for aid, name in axis_names(weighted).items()}
+    table = {name: (output.coeff_plus.get(ax, 0.0), output.coeff_minus.get(ax, 0.0))
+             for ax, name in axis_names(mode_axes(output)).items()}
     return ReconstructionReport(
         g_p,
         g_m,
@@ -149,8 +152,8 @@ def dealer_encode(cfg: DealerConfig) -> ShareSet:
     eta_in = cfg.efficiencies.get("epr1_in", 1.0)
     noise_p = classical_axis(cfg.v_n, "N.plus")
     noise_m = classical_axis(cfg.v_n, "N.minus")
-    n_plus = ClassicalSignal(0.0, {noise_p.id: 1.0}, {noise_p.id: noise_p})
-    n_minus = ClassicalSignal(0.0, {noise_m.id: 1.0}, {noise_m.id: noise_m})
+    n_plus = ClassicalSignal(0.0, {noise_p: 1.0})
+    n_minus = ClassicalSignal(0.0, {noise_m: 1.0})
 
     s = 1.0 / math.sqrt(2.0)
     out1, out2 = beam_splitter(secret, epr1, 0.5)
@@ -162,16 +165,15 @@ def dealer_encode(cfg: DealerConfig) -> ShareSet:
     share2 = _add_noise(out2, n_plus, n_minus, -s, -s)
     share3 = _add_noise(epr2, n_plus, n_minus, 1.0, -1.0)
 
-    tagged = set(secret.axes) | set(sqz1.axes) | set(sqz2.axes) | {noise_p.id, noise_m.id}
-    everything = set(share1.axes) | set(share2.axes) | set(share3.axes)
     tags = {
-        "secret": sorted(secret.axes),
-        "sqz1": sorted(sqz1.axes),
-        "sqz2": sorted(sqz2.axes),
-        "noise_plus": [noise_p.id],
-        "noise_minus": [noise_m.id],
-        "vacuum": sorted(everything - tagged),
+        "secret": mode_axes(secret),
+        "sqz1": mode_axes(sqz1),
+        "sqz2": mode_axes(sqz2),
+        "noise_plus": [noise_p],
+        "noise_minus": [noise_m],
     }
+    tagged = {ax for axes in tags.values() for ax in axes}
+    tags["vacuum"] = [ax for ax in mode_axes(share1, share2, share3) if ax not in tagged]
     return ShareSet(share1, share2, share3, secret, tags)
 
 
@@ -225,7 +227,7 @@ def reconstruct_two_opa(share_a: QuadratureMode, share3: QuadratureMode, gain: f
 def reconstruct_single_ff(
     share_a: QuadratureMode,
     share3: QuadratureMode,
-    reflectivity: float = 2.0 / 3.0,
+    reflectivity: float = SINGLE_FF_REFLECTIVITY,
     g_elec: float = UNITY_SINGLE_FF_GAIN,
     det: DetectorSpec = IDEAL_DETECTOR,
     mirror_reflectivity: float | None = None,
@@ -258,8 +260,8 @@ def reconstruct_double_ff(
     share_a: QuadratureMode,
     share3: QuadratureMode,
     secret: QuadratureMode,
-    reflectivity: float = 0.5,
-    g_target: float = 1.0,
+    reflectivity: float = DOUBLE_FF_REFLECTIVITY,
+    g_target: float = UNITY_DOUBLE_FF_GAIN,
     det: DetectorSpec = IDEAL_DETECTOR,
     mirror_reflectivity: float | None = None,
 ) -> QuadratureMode:

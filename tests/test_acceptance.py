@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from qss import harness, metrics
+from qss import metrics
 from qss.components import (
     beam_splitter,
     displace,
@@ -199,7 +199,7 @@ def test_criterion_6_entanglement_criteria():
     reid_vac = reid_epr(new_vacuum(), new_vacuum())
     b1, b2 = epr_pair(new_vacuum(), new_vacuum())
     duan_bs = duan_inseparability(b1, b2)
-    eta_fit = harness.fit_symmetric_epr_loss(0.44, V_SQ_45DB)
+    eta_fit = metrics.fit_symmetric_epr_loss(0.44, V_SQ_45DB)
     duan_fit = duan_inseparability(loss(e1, eta_fit), loss(e2, eta_fit))
     elapsed = time.perf_counter() - start
     ok = (

@@ -20,7 +20,7 @@ from qss.harness import (
     rows_to_csv,
     run,
 )
-from qss.modes import CHUNK_SHOTS, PLUS, QuadratureMode
+from qss.modes import CHUNK_SHOTS, QuadratureMode, mode_axes
 from qss.protocols import make_report
 
 
@@ -142,6 +142,7 @@ def test_json_output_roundtrips():
     payload = json.loads(harness.result_to_json(result))
     assert payload["columns"] == result.columns
     assert len(payload["rows"]) == 5
+    assert all("error" not in row for row in payload["rows"])
 
 
 def test_double_ff_unreachable_gain_marks_row():
@@ -199,12 +200,11 @@ def test_oracle_localises_corrupted_coefficient():
     cfg = ExperimentConfig(protocol="pia", v_sq=0.354813, v_n=2.23872)
     pipe = build_pipeline(cfg, None, None, None)
     honest = pipe.raw
-    sqz_id = next(aid for aid, ax in honest.axes.items() if ax.label == "sqz2.plus")
+    sqz = next(ax for ax in mode_axes(honest) if ax.label == "sqz2.plus")
     corrupted_coeffs = dict(honest.coeff_plus)
-    corrupted_coeffs[sqz_id] = corrupted_coeffs.get(sqz_id, 0.0) + 0.2
+    corrupted_coeffs[sqz] = corrupted_coeffs.get(sqz, 0.0) + 0.2
     corrupted = QuadratureMode(
-        honest.mean_plus, honest.mean_minus,
-        corrupted_coeffs, dict(honest.coeff_minus), dict(honest.axes))
+        honest.mean_plus, honest.mean_minus, corrupted_coeffs, honest.coeff_minus)
     findings = compare_mode_to_samples(corrupted, honest, 200_000, seed=11)
     bad = [f for f in findings if abs(f.z) >= 5.0]
     assert bad
@@ -226,20 +226,17 @@ def test_oracle_coefficient_z_has_unit_spread():
     assert 0.7 <= statistics.stdev(zs) <= 1.3
 
 
-def _weighted_ids(mode):
-    return {aid for coeffs in (mode.coeff_plus, mode.coeff_minus) for aid, c in coeffs.items() if c}
-
-
 def test_oracle_draws_only_weighted_axes(monkeypatch):
+    # With no classical noise the N axes keep their coefficients but add
+    # no variance, so they are not drawn.
     drawn = []
     real = harness.draw_axes
     monkeypatch.setattr(harness, "draw_axes", lambda axes, *a: drawn.append(axes) or real(axes, *a))
-    cfg = preset_config("fig3b-inset-mz")
-    pipe = build_pipeline(cfg, None, None, cfg.sweep_v_n.start)
+    pipe = build_pipeline(preset_config("fig3b"), None, 10.0, 0.0)
     compare_mode_to_samples(pipe.raw, pipe.raw, 10_000, 1)
-    weighted = _weighted_ids(pipe.raw)
-    assert len(pipe.raw.axes) > len(weighted)
-    assert sorted(ax.id for ax in drawn[0]) == sorted(weighted)
+    axes = mode_axes(pipe.raw)
+    assert {ax.label for ax in axes if ax not in drawn[0]} == {"N.plus", "N.minus"}
+    assert drawn[0] == [ax for ax in axes if ax.variance > 0.0]
 
 
 def test_oracle_reports_identical_for_any_worker_count(monkeypatch):
@@ -255,11 +252,23 @@ def test_oracle_reports_identical_for_any_worker_count(monkeypatch):
 def test_axis_names_are_unique_when_labels_collide():
     # At gain 10, fig3b's output carries two axes labelled mm_ff_bs.plus.
     pipe = build_pipeline(preset_config("fig3b"), None, 10.0, None)
-    assert len(_weighted_ids(pipe.raw)) == 19
-    assert len(make_report(pipe.secret, pipe.raw).coefficients) == 19
+    assert len(mode_axes(pipe.raw)) == 19
+    names = make_report(pipe.secret, pipe.raw).coefficients
+    assert len(names) == 19
+    assert {"mm_ff_bs.plus#1", "mm_ff_bs.plus#2", "mm_ff_bs.minus"} <= set(names)
     findings = compare_mode_to_samples(pipe.raw, pipe.raw, 10_000, 2)
     pairs = [(f.quantity, f.axis_label) for f in findings]
     assert len(pairs) == len(set(pairs)) == 4 + 2 * 19
+
+
+def test_axis_names_do_not_depend_on_earlier_builds():
+    def names():
+        pipe = build_pipeline(preset_config("fig3b"), None, 10.0, None)
+        return list(make_report(pipe.secret, pipe.raw).coefficients)
+
+    first = names()
+    build_pipeline(ExperimentConfig(protocol="double_ff", v_sq=0.5, v_n=1.0), None, None, None)
+    assert names() == first
 
 
 def test_oracle_requires_enough_shots():
@@ -283,6 +292,17 @@ def test_cli_out_dir_env_var(tmp_path, monkeypatch):
     code = cli.main(["run", "--preset", "fig5-adversary", "--out", "sub/rows.csv"])
     assert code == 0
     assert (tmp_path / "sub" / "rows.csv").exists()
+
+
+def test_failed_row_names_its_reason(tmp_path, capsys):
+    cfg = tmp_path / "pia.cfg"
+    cfg.write_text("protocol.name = pia\nprotocol.gain = 0\n")
+    assert cli.main(["run", "--config", str(cfg), "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    reason = "amplifier gain must be >= 1, got 0.0"
+    assert json.loads(out)["rows"][0]["error"] == reason
+    assert f"row 0: {reason}" in err.splitlines()
+    assert "failed_rows: 1" in err.splitlines()
 
 
 def test_cli_config_error_exit_code(tmp_path):

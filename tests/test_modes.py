@@ -21,6 +21,7 @@ from qss.modes import (
     draw_axes,
     is_physical,
     linear_combine,
+    mode_axes,
     monte_carlo_sample,
     new_coherent,
     new_squeezed,
@@ -107,8 +108,7 @@ def test_commutator_weight_basics():
     # classical axes carry no commutator weight
     ax = classical_axis(5.0)
     v = new_vacuum()
-    m = QuadratureMode(0.0, 0.0, {**v.coeff_plus, ax.id: 2.0}, dict(v.coeff_minus),
-                       {**v.axes, ax.id: ax})
+    m = QuadratureMode(0.0, 0.0, {**v.coeff_plus, ax: 2.0}, v.coeff_minus)
     assert commutator_weight(m) == 1.0
     # scaling both quadratures by k scales the weight by k^2
     scaled = linear_combine([(2.0, 2.0, v)])
@@ -170,7 +170,7 @@ def _sampled_network():
     b = new_squeezed(0.4, label="b")
     idle = new_vacuum("idle")
     silent = classical_axis(0.0, "silent")
-    noise = ClassicalSignal(0.0, {silent.id: 1.0}, {silent.id: silent})
+    noise = ClassicalSignal(0.0, {silent: 1.0})
     m = linear_combine([(0.6, 0.6, a), (0.8, -0.8, b), (0.3, 0.3, idle), (-0.3, -0.3, idle), (1.0, 1.0, noise)])
     return m, linear_combine([(0.5, 0.5, a)])
 
@@ -193,9 +193,18 @@ def test_draw_axes_moments_match_regenerated_chunks(n_shots):
         np.testing.assert_allclose(value, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+def test_cancelled_vacuum_leaves_no_key():
+    a, idle = new_vacuum("a"), new_vacuum("idle")
+    m = linear_combine([(0.6, 0.6, a), (0.3, 0.3, idle), (-0.3, -0.3, idle)])
+    assert [ax.label for ax in mode_axes(m)] == ["a.plus", "a.minus"]
+    (ax_p,), (ax_m,) = a.coeff_plus, a.coeff_minus
+    assert m.coeff_plus == {ax_p: 0.6} and m.coeff_minus == {ax_m: 0.6}
+
+
 def test_only_weighted_axes_are_drawn():
+    # The zero-variance classical axis keeps its key but adds no variance.
     m1, m2 = _sampled_network()
-    assert len(m1.axes) == 7
+    assert [ax.label for ax in mode_axes(m1)] == ["a.plus", "a.minus", "b.plus", "b.minus", "silent"]
     assert [ax.label for ax in weighted_axes([m1, m2])] == ["a.plus", "a.minus", "b.plus", "b.minus"]
 
 

@@ -8,8 +8,10 @@ from qss.metrics import fidelity_modes
 from qss.modes import (
     MINUS,
     PLUS,
+    NoiseAxis,
     commutator_weight,
     covariance,
+    mode_axes,
     new_coherent,
     new_vacuum,
     variance,
@@ -68,10 +70,10 @@ def test_shares_are_physical():
 def test_axis_tags_cover_everything():
     shares = encode()
     tagged = set()
-    for ids in shares.axis_tags.values():
-        tagged.update(ids)
-    all_axes = set(shares.share1.axes) | set(shares.share2.axes) | set(shares.share3.axes)
-    assert all_axes == tagged
+    for axes in shares.axis_tags.values():
+        assert all(isinstance(ax, NoiseAxis) for ax in axes)
+        tagged.update(axes)
+    assert set(mode_axes(shares.share1, shares.share2, shares.share3)) == tagged
 
 
 def test_orientation_flips_for_share2_only():
