@@ -163,10 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"run": _cmd_run, "region": _cmd_region, "oracle": _cmd_oracle, "presets": _cmd_presets}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

@@ -27,19 +27,6 @@ from .modes import (
 
 
 @dataclass(frozen=True)
-class BeamSplitterSpec:
-    reflectivity: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.reflectivity <= 1.0:
-            raise ValueError(f"reflectivity must be in [0, 1], got {self.reflectivity}")
-
-    @classmethod
-    def from_ratio(cls, x: float, y: float) -> "BeamSplitterSpec":
-        return cls(x / (x + y))
-
-
-@dataclass(frozen=True)
 class DetectorSpec:
     efficiency: float = 1.0
     dark_noise_variance: float = 0.0

@@ -1,7 +1,10 @@
 """Config-driven sweeps: assemble dealer + protocol pipelines, scan
 parameter grids, compare against the classical bounds, regenerate the
-figure data as CSV/JSON, and cross-check every analytic moment against
-the Monte Carlo oracle.
+figure data as CSV/JSON, and cross-check the analytic moments of
+selected rows against the Monte Carlo oracle of :mod:`qss.oracle`.
+
+Each protocol is built by one entry of a ``{name: builder}`` table; the
+``summary`` protocol has none and is dispatched in :func:`run`.
 
 Configs are flat dotted-key text files (``dealer.v_sq_db = -4.5``) or
 JSON objects with the same keys.  Identical config + seed produces a
@@ -18,19 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics
-from .components import DetectorSpec, IDEAL_DETECTOR
-from .modes import (
-    MINUS,
-    PLUS,
-    QuadratureMode,
-    axis_names,
-    coefficient_matrix,
-    db_to_linear,
-    draw_axes,
-    new_coherent,
-    variance,
-    weighted_axes,
-)
+from .components import DetectorSpec
+from .modes import QuadratureMode, db_to_linear, new_coherent
+from .oracle import ORACLE_Z_LIMIT, OracleFinding, compare_mode_to_samples
 from .protocols import (
     DOUBLE_FF_REFLECTIVITY,
     SINGLE_FF_REFLECTIVITY,
@@ -39,6 +32,7 @@ from .protocols import (
     UNITY_SINGLE_FF_GAIN,
     UNITY_TWO_OPA_GAIN,
     DealerConfig,
+    classical_avg_fidelity,
     classical_bounds,
     dealer_encode,
     secret_gains,
@@ -53,15 +47,12 @@ from .protocols import (
 )
 
 BOUND_TOL = 1e-9
-ORACLE_Z_LIMIT = 5.0
 OUT_DIR_ENV = "QSS_OUT_DIR"
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
 EXIT_ORACLE_FAILURE = 3
 EXIT_BOUND_VIOLATION = 4
-
-PROTOCOLS = ("mz", "pia", "two_opa", "single_ff", "double_ff", "adversary_1", "adversary_3", "summary")
 
 CSV_COLUMNS = [
     "protocol",
@@ -145,10 +136,10 @@ class ExperimentConfig:
             raise ConfigError("player must be 1 or 2")
         if self.shots < 1:
             raise ConfigError("shots must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def detector(self) -> DetectorSpec:
-        if self.eta_ff == 1.0 and self.dark_noise == 0.0:
-            return IDEAL_DETECTOR
         return DetectorSpec(self.eta_ff, self.dark_noise)
 
     def dealer(self, v_n: float) -> DealerConfig:
@@ -175,12 +166,22 @@ _DB_PAIRS = {
     "detector.dark_noise": "detector.dark_noise_db",
 }
 
+
+def _boolean(value) -> bool:
+    """A JSON bool, or ``true``/``false`` in any case."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.lower() in ("true", "false"):
+        return value.lower() == "true"
+    raise ConfigError(f"expected true or false, got {value!r}")
+
+
 _SCALAR_KEYS = {
     "protocol.name": ("protocol", str),
     "protocol.player": ("player", int),
     "protocol.reflectivity": ("reflectivity", float),
     "protocol.gain": ("gain", float),
-    "protocol.unity_gain": ("unity_gain", bool),
+    "protocol.unity_gain": ("unity_gain", _boolean),
     "protocol.mirror_r": ("mirror_r", float),
     "dealer.v_sq": ("v_sq", float),
     "dealer.v_anti": ("v_anti", float),
@@ -275,9 +276,15 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 
 @dataclass
 class PipelineResult:
+    """One build: the secret, the raw and corrected outputs, and the
+    knobs it was built at."""
+
     secret: QuadratureMode
     raw: QuadratureMode
     corrected: QuadratureMode
+    reflectivity: float
+    gain: float
+    v_n: float
     error: str | None = None
 
 
@@ -303,49 +310,52 @@ def _knobs(cfg: ExperimentConfig, reflectivity: float | None, gain: float | None
     return reflectivity, gain, cfg.v_n if v_n is None else v_n
 
 
+def _build_single_ff(cfg: ExperimentConfig, shares, share_a, r: float, g: float):
+    def run_ff(g_elec: float) -> QuadratureMode:
+        return reconstruct_single_ff(
+            share_a, shares.share3, r, g_elec,
+            det=cfg.detector(), mirror_reflectivity=cfg.mirror_r,
+            eta_bs=cfg.eta_recon_bs, eta_lo=cfg.eta_lo)
+
+    if cfg.unity_gain:
+        g = solve_single_ff_unity_gain(lambda ge: make_report(shares.secret, run_ff(ge)))
+    out = run_ff(g)
+    return out, parametric_correction(out)
+
+
+def _uncorrected(out: QuadratureMode):
+    return out, out
+
+
+# One builder per protocol: (cfg, shares, share_a, r, g) -> (raw, corrected).
+_BUILDERS = {
+    "mz": lambda cfg, shares, share_a, r, g: _uncorrected(
+        reconstruct_mz(shares.share1, shares.share2, cfg.eta_mz)),
+    "pia": lambda cfg, shares, share_a, r, g: _uncorrected(
+        reconstruct_pia(share_a, shares.share3, g)),
+    "two_opa": lambda cfg, shares, share_a, r, g: _uncorrected(
+        reconstruct_two_opa(share_a, shares.share3, g)),
+    "single_ff": _build_single_ff,
+    "double_ff": lambda cfg, shares, share_a, r, g: _uncorrected(reconstruct_double_ff(
+        share_a, shares.share3, shares.secret, r, g, det=cfg.detector(), mirror_reflectivity=cfg.mirror_r)),
+    "adversary_1": lambda cfg, shares, share_a, r, g: _uncorrected(shares.share1),
+    "adversary_3": lambda cfg, shares, share_a, r, g: _uncorrected(shares.share3),
+}
+
+PROTOCOLS = (*_BUILDERS, "summary")
+
+
 def build_pipeline(cfg: ExperimentConfig, reflectivity: float | None, gain: float | None,
                    v_n: float | None) -> PipelineResult:
     """One dealer + reconstruction run at explicit knob settings; a knob
     left as None takes its default (see :func:`_knobs`)."""
     r, g, n = _knobs(cfg, reflectivity, gain, v_n)
     shares = dealer_encode(cfg.dealer(n))
-    secret = shares.secret
-    share_a = shares.share(cfg.player)
-
     try:
-        if cfg.protocol == "mz":
-            out = reconstruct_mz(shares.share1, shares.share2, cfg.eta_mz)
-            return PipelineResult(secret, out, out)
-        if cfg.protocol == "pia":
-            out = reconstruct_pia(share_a, shares.share3, g)
-            return PipelineResult(secret, out, out)
-        if cfg.protocol == "two_opa":
-            out = reconstruct_two_opa(share_a, shares.share3, g)
-            return PipelineResult(secret, out, out)
-        if cfg.protocol == "single_ff":
-            def run_ff(g_elec: float) -> QuadratureMode:
-                return reconstruct_single_ff(
-                    share_a, shares.share3, r, g_elec,
-                    det=cfg.detector(), mirror_reflectivity=cfg.mirror_r,
-                    eta_bs=cfg.eta_recon_bs, eta_lo=cfg.eta_lo)
-
-            if cfg.unity_gain:
-                g = solve_single_ff_unity_gain(lambda ge: make_report(secret, run_ff(ge)))
-            out = run_ff(g)
-            return PipelineResult(secret, out, parametric_correction(out))
-        if cfg.protocol == "double_ff":
-            out = reconstruct_double_ff(
-                share_a, shares.share3, secret, r, g,
-                det=cfg.detector(), mirror_reflectivity=cfg.mirror_r)
-            return PipelineResult(secret, out, out)
-        if cfg.protocol in ("adversary_1", "adversary_3"):
-            k = 1 if cfg.protocol == "adversary_1" else 3
-            out = shares.share(k)
-            return PipelineResult(secret, out, out)
+        raw, corrected = _BUILDERS[cfg.protocol](cfg, shares, shares.share(cfg.player), r, g)
     except ValueError as exc:
-        dummy = secret
-        return PipelineResult(secret, dummy, dummy, error=str(exc))
-    raise ConfigError(f"protocol {cfg.protocol!r} cannot be built directly")
+        return PipelineResult(shares.secret, shares.secret, shares.secret, r, g, n, error=str(exc))
+    return PipelineResult(shares.secret, raw, corrected, r, g, n)
 
 
 # -- sweeps ------------------------------------------------------------------
@@ -382,10 +392,10 @@ def _grid(cfg: ExperimentConfig):
 
 
 def _evaluate_row(cfg: ExperimentConfig, r, g, n) -> dict:
-    r, g, n = _knobs(cfg, r, g, n)
     pipe = build_pipeline(cfg, r, g, n)
     row = {c: float("nan") for c in CSV_COLUMNS}
-    row.update(protocol=cfg.protocol, reflectivity=r, gain=g, v_n=n, oracle_max_z=None)
+    row.update(protocol=cfg.protocol, reflectivity=pipe.reflectivity, gain=pipe.gain, v_n=pipe.v_n,
+               oracle_max_z=None)
     if pipe.error:
         row["error"] = pipe.error
         return row
@@ -418,13 +428,12 @@ def _evaluate_row(cfg: ExperimentConfig, r, g, n) -> dict:
 
 def run(cfg: ExperimentConfig, with_oracle: bool = False) -> RunResult:
     """Evaluate the full sweep grid; deterministic for a fixed config."""
+    row_z = oracle_check(cfg).row_z if with_oracle else {}
     if cfg.protocol == "summary":
         return _summary_run(cfg)
     rows = [_evaluate_row(cfg, r, g, n) for r, g, n in _grid(cfg)]
-    if with_oracle:
-        report = oracle_check(cfg)
-        for idx, z in report.row_z.items():
-            rows[idx]["oracle_max_z"] = z
+    for idx, z in row_z.items():
+        rows[idx]["oracle_max_z"] = z
     good = [r for r in rows if not r.get("error")]
     summary = {
         "rows": len(rows),
@@ -466,6 +475,7 @@ def _summary_run(cfg: ExperimentConfig) -> RunResult:
                   for g in SweepAxis(0.0, 40.0, 201).values()]
     f12, f23 = mz_row["fidelity"], ff_row["fidelity"]
     f_avg = (f12 + 2.0 * f23) / 3.0
+    f_classical = classical_avg_fidelity(2, 3)
     avg_row = {c: None for c in CSV_COLUMNS}
     avg_row.update(protocol="average", fidelity=f_avg)
     summary = {
@@ -482,8 +492,8 @@ def _summary_run(cfg: ExperimentConfig) -> RunResult:
         "t_23_unity": ff_row["signal_transfer"],
         "v_23_unity": ff_row["added_noise"],
         "f_avg": f_avg,
-        "classical_f_avg_limit": 2.0 / 3.0,
-        "beats_classical_average": f_avg > 2.0 / 3.0,
+        "classical_f_avg_limit": f_classical,
+        "beats_classical_average": f_avg > f_classical,
     }
     return RunResult(CSV_COLUMNS, [mz_row, ff_row, avg_row], summary)
 
@@ -513,11 +523,8 @@ def pareto_frontier(points: list[tuple[float, float]]) -> list[tuple[float, floa
 
 def region_boundary(cfg: ExperimentConfig) -> list[tuple[float, float]]:
     """Pareto frontier of the accessible (T, V) set over the sweep grid."""
-    grid = list(_grid(cfg))
-    if not grid:
-        raise ConfigError("empty sweep grid")
     points = []
-    for r, g, n in grid:
+    for r, g, n in _grid(cfg):
         row = _evaluate_row(cfg, r, g, n)
         if not row.get("error"):
             points.append((row["signal_transfer"], row["added_noise"]))
@@ -530,14 +537,6 @@ def region_boundary(cfg: ExperimentConfig) -> list[tuple[float, float]]:
 
 
 @dataclass
-class OracleFinding:
-    row: int
-    quantity: str
-    axis_label: str | None
-    z: float
-
-
-@dataclass
 class OracleReport:
     passed: bool
     worst_z: float
@@ -547,48 +546,11 @@ class OracleReport:
     rows_checked: int
 
 
-def compare_mode_to_samples(predicted: QuadratureMode, sampled: QuadratureMode,
-                            n_shots: int, seed: int, row: int = 0) -> list[OracleFinding]:
-    """z-scores of predicted means/variances/per-axis coefficients against
-    samples drawn from ``sampled``.
-
-    In normal operation ``predicted is sampled``; passing a different
-    ``predicted`` turns this into a regression check that localises any
-    discrepancy to a noise axis.  Only axes that add variance to either
-    mode are drawn and checked.
-    """
-    axes = weighted_axes([sampled, predicted])
-    names = axis_names(axes)
-    moments = draw_axes(axes, n_shots, seed,
-                        coefficient_matrix([sampled.coeff_plus, sampled.coeff_minus], axes))
-    fluct_mean = moments.mean()
-    cov = moments.covariance()
-    axis_cov = moments.axis_covariance()
-    findings = []
-    for i, quad in enumerate((PLUS, MINUS)):
-        v_pred = variance(predicted, quad)
-        v_emp = float(cov[i, i])
-        mean_emp = sampled.mean(quad) + float(fluct_mean[i])
-        se_mean = math.sqrt(max(v_emp, 1e-30) / n_shots)
-        findings.append(OracleFinding(row, f"mean.{quad}", None, (mean_emp - predicted.mean(quad)) / se_mean))
-        se_var = max(v_emp, 1e-30) * math.sqrt(2.0 / (n_shots - 1))
-        findings.append(OracleFinding(row, f"variance.{quad}", None, (v_emp - v_pred) / se_var))
-        coeffs = predicted.coeffs(quad)
-        for j, ax in enumerate(axes):
-            c = coeffs.get(ax, 0.0)
-            est = float(axis_cov[i, j]) / ax.variance
-            # The estimate is (1/n) sum of x d / variance with x = c d + r:
-            # its variance is (R / variance + 2 c^2) / n, R being the
-            # variance of r, so the axis's own spread counts too.
-            resid = max(v_emp - c * c * ax.variance, 0.0)
-            se = math.sqrt(max(resid / ax.variance + 2.0 * c * c, 1e-30) / n_shots)
-            findings.append(OracleFinding(row, f"coeff.{quad}", names[ax], (est - c) / se))
-    return findings
-
-
 def oracle_check(cfg: ExperimentConfig) -> OracleReport:
     """Re-derive the moments of selected sweep rows by sampling and flag
     any deviation beyond five standard errors."""
+    if cfg.protocol == "summary":
+        raise ConfigError("the summary protocol has no sweep rows to sample")
     if cfg.shots < 10_000:
         raise ConfigError("oracle needs at least 10^4 shots")
     grid = list(_grid(cfg))

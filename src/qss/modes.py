@@ -9,9 +9,8 @@ weight of exactly 1 (see :func:`commutator_weight`).
 
 Quantum axes come in conjugate pairs, one per elementary mode; classical
 axes (modulation noise, detector dark noise) stand alone and carry no
-commutator weight.  All second moments are exact sums over shared axes,
-and :func:`monte_carlo_sample` provides an independent sampling oracle
-for any composed network.
+commutator weight.  All second moments are exact sums over shared axes;
+:mod:`qss.oracle` checks them by sampling.
 
 Coefficient dicts are keyed by the :class:`NoiseAxis` objects
 themselves, which compare and hash by identity, so a mode's axes are
@@ -19,31 +18,13 @@ exactly its coefficient keys; an axis whose coefficients cancel leaves
 no key.  A coefficient dict is never changed after it is built, so modes
 and signals may share one.  The axis ``id`` only orders axes by
 creation.
-
-The oracle draws only the axes that add variance to a sampled
-quantity, in chunks of ``CHUNK_SHOTS`` shots, each from its own child
-of ``numpy.random.SeedSequence(seed)``; a chunk keeps only the moment
-sums of its fluctuations (:class:`SampleMoments`), and a quantity's mean
-is added after the sums, so a large mean does not cancel its variance.
-Chunks run on one thread per usable CPU and are summed in chunk order,
-so results are identical for any thread count.  A given seed yields
-other draws than the dict-of-arrays sampler of qss 1.0, which drew
-every axis, zero-weight ones included, from one generator.  From the
-sums, ``harness.compare_mode_to_samples`` estimates each axis
-coefficient c with the standard error √((R/σ² + 2c²)/n), R being the
-rest of the quadrature's variance and σ² the axis's; the 2c² term is the
-estimate's own spread, which qss 1.0 left out.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import os
 import threading
 from dataclasses import dataclass, field
-
-import numpy as np
 
 TOL = 1e-12
 
@@ -258,19 +239,6 @@ def is_physical(mode: QuadratureMode, tol: float = TOL) -> bool:
     return abs(commutator_weight(mode) - 1.0) <= tol
 
 
-# ---------------------------------------------------------------------------
-# Monte Carlo sampling oracle
-
-CHUNK_SHOTS = 1 << 16
-
-
-def weighted_axes(modes) -> list[NoiseAxis]:
-    """Axes, in creation order, that add variance to either quadrature of
-    any of ``modes``: a nonzero coefficient on an axis of nonzero variance."""
-    return _creation_order(ax for mode in modes for coeffs in (mode.coeff_plus, mode.coeff_minus)
-                           for ax, c in coeffs.items() if c != 0.0 and ax.variance != 0.0)
-
-
 def axis_names(axes) -> dict[NoiseAxis, str]:
     """A unique name per axis: its label, with ``#<k>`` appended when
     several of ``axes`` share the label, k being the axis's 1-based rank
@@ -280,136 +248,3 @@ def axis_names(axes) -> dict[NoiseAxis, str]:
         groups.setdefault(ax.label, []).append(ax)
     return {ax: ax.label if len(groups[ax.label]) == 1 else f"{ax.label}#{groups[ax.label].index(ax) + 1}"
             for ax in axes}
-
-
-def coefficient_matrix(rows, axes) -> np.ndarray:
-    """``(len(rows), len(axes))`` array of each coefficient dict in
-    ``rows`` on each axis."""
-    return np.array([[coeffs.get(ax, 0.0) for ax in axes] for coeffs in rows])
-
-
-@dataclass
-class SampleMoments:
-    """Sums over ``n_shots`` shots of the zero-mean fluctuations X = C D
-    of k sampled quantities, where D holds one N(0, variance) deviate per
-    drawn axis and shot: ΣX, X Xᵀ, X Dᵀ and ΣD."""
-
-    n_shots: int
-    sum_x: np.ndarray  # (k,)
-    xx: np.ndarray  # (k, k)
-    xd: np.ndarray  # (k, m)
-    sum_d: np.ndarray  # (m,)
-
-    def __add__(self, other: "SampleMoments") -> "SampleMoments":
-        return SampleMoments(self.n_shots + other.n_shots, self.sum_x + other.sum_x, self.xx + other.xx,
-                             self.xd + other.xd, self.sum_d + other.sum_d)
-
-    def mean(self) -> np.ndarray:
-        """Sample mean of the fluctuations."""
-        return self.sum_x / self.n_shots
-
-    def covariance(self) -> np.ndarray:
-        """Unbiased sample covariance of the sampled quantities."""
-        return (self.xx - np.outer(self.sum_x, self.sum_x) / self.n_shots) / max(self.n_shots - 1, 1)
-
-    def axis_covariance(self) -> np.ndarray:
-        """Unbiased sample covariance of each quantity with each axis."""
-        return (self.xd - np.outer(self.sum_x, self.sum_d) / self.n_shots) / max(self.n_shots - 1, 1)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on Linux
-        return os.cpu_count() or 1
-
-
-def _draw_chunks(seeds, sizes, scaled: np.ndarray, std: np.ndarray,
-                 z_buf: np.ndarray, x_buf: np.ndarray) -> list[SampleMoments]:
-    """Moments of each chunk in turn.  ``scaled`` is C with each column
-    multiplied by its axis's standard deviation, so X = C D = scaled Z for
-    the standard normal draws Z; Z and X are written into the flat
-    buffers ``z_buf`` and ``x_buf``."""
-    parts = []
-    for seed, n in zip(seeds, sizes):
-        z = z_buf[: len(std) * n].reshape(len(std), n)
-        np.random.default_rng(seed).standard_normal(out=z)
-        x = np.matmul(scaled, z, out=x_buf[: len(scaled) * n].reshape(len(scaled), n))
-        parts.append(SampleMoments(n, x.sum(axis=1), x @ x.T, (x @ z.T) * std, z.sum(axis=1) * std))
-    return parts
-
-
-def draw_axes(axes, n_shots: int, seed: int, coeffs: np.ndarray) -> SampleMoments:
-    """Draw one N(0, variance) deviate per axis in ``axes`` and shot, and
-    reduce the fluctuations X = ``coeffs`` @ D to :class:`SampleMoments`.
-
-    Deterministic under ``seed`` whatever the number of worker threads:
-    chunk j of ``CHUNK_SHOTS`` shots draws from
-    ``SeedSequence(seed).spawn(n_chunks)[j]`` and chunks are summed in
-    order.  Worker w of W takes chunks w, w + W, ...; there is one worker
-    per usable CPU, because the normal fill and the matrix products
-    release the interpreter lock.  Each worker's buffers are allocated
-    here, on the calling thread, so they come from one allocator arena
-    instead of staying cached in a fresh arena per worker thread.
-    """
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
-    std = np.sqrt([ax.variance for ax in axes])
-    scaled = np.asarray(coeffs, dtype=float) * std
-    sizes = [min(CHUNK_SHOTS, n_shots - start) for start in range(0, n_shots, CHUNK_SHOTS)]
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-    workers = min(len(sizes), _usable_cpus())
-    jobs = [(seeds[w::workers], sizes[w::workers], scaled, std,
-             np.empty(len(std) * sizes[0]), np.empty(len(scaled) * sizes[0])) for w in range(workers)]
-    if workers == 1:
-        parts = _draw_chunks(*jobs[0])
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # here, to keep it out of import time
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            by_worker = [f.result() for f in [pool.submit(_draw_chunks, *job) for job in jobs]]
-        parts = [by_worker[j % workers][j // workers] for j in range(len(sizes))]
-    return sum(parts[1:], start=parts[0])
-
-
-@dataclass
-class SampleStats:
-    """Empirical moments (with standard errors) of a set of quadratures."""
-
-    n_shots: int
-    labels: list[str]
-    means: np.ndarray
-    mean_se: np.ndarray
-    variances: np.ndarray
-    variance_se: np.ndarray
-    covariances: np.ndarray  # full symmetric matrix
-    covariance_se: np.ndarray
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
-
-def monte_carlo_sample(modes, n_shots: int, seed: int = 0) -> SampleStats:
-    """Sample every listed quadrature and return empirical statistics.
-
-    ``modes`` is a list of ``(label, mode, quadrature)`` triples, or
-    bare modes (both quadratures are then sampled with labels
-    ``m{i}.plus`` / ``m{i}.minus``).
-    """
-    entries = []
-    for i, item in enumerate(modes):
-        if isinstance(item, tuple):
-            entries.append(item)
-        else:
-            entries.append((f"m{i}.plus", item, PLUS))
-            entries.append((f"m{i}.minus", item, MINUS))
-    axes = weighted_axes([m for _, m, _ in entries])
-    moments = draw_axes(axes, n_shots, seed, coefficient_matrix([m.coeffs(q) for _, m, q in entries], axes))
-    means = np.array([m.mean(q) for _, m, q in entries]) + moments.mean()
-    cov = moments.covariance()
-    var = np.diag(cov).copy()
-    denom = max(n_shots - 1, 1)
-    mean_se = np.sqrt(var / n_shots)
-    var_se = var * math.sqrt(2.0 / denom)
-    cov_se = np.sqrt((np.outer(var, var) + cov**2) / denom)
-    return SampleStats(n_shots, [e[0] for e in entries], means, mean_se, var, var_se, cov, cov_se)

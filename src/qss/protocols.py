@@ -10,7 +10,7 @@ classical noise:
     share3+ = X_epr2+ + dN+,   share3- = X_epr2- - dN-
 
 Reconstruction protocols are built compositionally from optical
-components; the closed-form outputs serve as test oracles only.  The
+components; their closed forms live in the tests, as oracles.  The
 {1,3} and {2,3} groups share one code path: when share 2 is used, share
 3 enters with a pi phase flip so the classical noise and anti-squeezed
 terms cancel, and the orientation is auto-detected from the sign of the
@@ -296,16 +296,6 @@ def reconstruct_double_ff(
             raise ValueError(f"optical gain {g_target} is unreachable at reflectivity {reflectivity}")
         gains.append((g_target - g0[q]) / slope)
     return build(gains[0], gains[1])
-
-
-def single_ff_gain_map(reflectivity: float, g_elec: float) -> tuple[float, float]:
-    """Ideal-optics electronic-to-optical gain map of the single
-    feed-forward protocol (read-only; the implementation is
-    compositional)."""
-    s = 1.0 / math.sqrt(2.0)
-    g_minus = math.sqrt(reflectivity) * s
-    g_plus = g_minus + g_elec * math.sqrt(1.0 - reflectivity) * s
-    return g_plus, g_minus
 
 
 def solve_single_ff_unity_gain(build, probe=(0.0, 1.0)) -> float:

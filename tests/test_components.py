@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qss.components import (
-    BeamSplitterSpec,
     DetectorSpec,
     beam_splitter,
     displace,
@@ -28,12 +27,6 @@ from qss.modes import (
     signal_variance,
     variance,
 )
-
-
-def test_beam_splitter_spec():
-    assert BeamSplitterSpec.from_ratio(2, 1).reflectivity == pytest.approx(2 / 3)
-    with pytest.raises(ValueError):
-        BeamSplitterSpec(1.5)
 
 
 def test_detector_spec_validation():

@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from qss import cli, harness, modes
+from qss import cli, harness, oracle
 from qss.harness import (
     ConfigError,
     ExperimentConfig,
@@ -20,7 +20,8 @@ from qss.harness import (
     rows_to_csv,
     run,
 )
-from qss.modes import CHUNK_SHOTS, QuadratureMode, mode_axes
+from qss.modes import QuadratureMode, mode_axes
+from qss.oracle import CHUNK_SHOTS
 from qss.protocols import make_report
 
 
@@ -85,6 +86,15 @@ def test_config_validation():
         config_from_mapping({"protocol.player": 3})
 
 
+def test_unity_gain_accepts_only_true_or_false():
+    for value, want in ((True, True), ("false", False), ("FALSE", False), ("True", True)):
+        assert config_from_mapping({"protocol.unity_gain": value}).unity_gain is want
+    for value in ("no", 1, 0, None):
+        with pytest.raises(ConfigError, match="expected true or false"):
+            config_from_mapping({"protocol.unity_gain": value})
+    assert parse_config_text("protocol.unity_gain = False")["protocol.unity_gain"] is False
+
+
 def test_load_json_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"protocol.name": "mz", "dealer.v_n": 2.0}))
@@ -143,6 +153,15 @@ def test_json_output_roundtrips():
     assert payload["columns"] == result.columns
     assert len(payload["rows"]) == 5
     assert all("error" not in row for row in payload["rows"])
+
+
+def test_every_protocol_has_a_builder():
+    assert set(harness._BUILDERS) == set(harness.PROTOCOLS) - {"summary"}
+    for name in harness._BUILDERS:
+        cfg = ExperimentConfig(protocol=name)
+        pipe = build_pipeline(cfg, None, None, None)
+        assert pipe.error is None, name
+        assert (pipe.reflectivity, pipe.gain, pipe.v_n) == harness._knobs(cfg, None, None, None)
 
 
 def test_double_ff_unreachable_gain_marks_row():
@@ -230,8 +249,8 @@ def test_oracle_draws_only_weighted_axes(monkeypatch):
     # With no classical noise the N axes keep their coefficients but add
     # no variance, so they are not drawn.
     drawn = []
-    real = harness.draw_axes
-    monkeypatch.setattr(harness, "draw_axes", lambda axes, *a: drawn.append(axes) or real(axes, *a))
+    real = oracle.draw_axes
+    monkeypatch.setattr(oracle, "draw_axes", lambda axes, *a: drawn.append(axes) or real(axes, *a))
     pipe = build_pipeline(preset_config("fig3b"), None, 10.0, 0.0)
     compare_mode_to_samples(pipe.raw, pipe.raw, 10_000, 1)
     axes = mode_axes(pipe.raw)
@@ -244,7 +263,7 @@ def test_oracle_reports_identical_for_any_worker_count(monkeypatch):
     pipe = build_pipeline(cfg, None, None, 10.0)
     runs = []
     for cpus in (1, 3):
-        monkeypatch.setattr(modes, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda cpus=cpus: cpus)
         runs.append((oracle_check(cfg), compare_mode_to_samples(pipe.raw, pipe.raw, cfg.shots, 4)))
     assert runs[0] == runs[1]
 
@@ -336,6 +355,22 @@ def test_cli_region_and_presets(capsys):
     assert cli.main(["region", "--preset", "fig4a-classical", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["frontier"]
+
+
+def test_cli_negative_seed_exit_code(tmp_path, capsys):
+    assert cli.main(["oracle", "--preset", "fig3b-inset-mz", "--seed", "-1"]) == 2
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("protocol.name = mz\noracle.seed = -3\n")
+    assert cli.main(["run", "--config", str(cfg), "--with-oracle"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: seed must be >= 0, got -1", "config error: seed must be >= 0, got -3"]
+
+
+def test_summary_cannot_be_sampled(capsys):
+    assert cli.main(["run", "--preset", "summary", "--with-oracle"]) == 2
+    assert cli.main(["oracle", "--preset", "summary"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: the summary protocol has no sweep rows to sample"] * 2
 
 
 def test_cli_seed_and_shots_override():

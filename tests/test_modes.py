@@ -1,35 +1,26 @@
-import concurrent.futures
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qss import modes
 from qss.modes import (
-    CHUNK_SHOTS,
     MINUS,
     PLUS,
-    ClassicalSignal,
     QuadratureMode,
     classical_axis,
-    coefficient_matrix,
     commutator_weight,
     covariance,
     db_to_linear,
-    draw_axes,
     is_physical,
     linear_combine,
     mode_axes,
-    monte_carlo_sample,
     new_coherent,
     new_squeezed,
     new_vacuum,
     quantum_pair,
     signal_variance,
     variance,
-    weighted_axes,
 )
 
 
@@ -135,92 +126,9 @@ def test_consumed_mode_rejected():
         linear_combine([(1.0, 1.0, v)])
 
 
-def test_monte_carlo_matches_analytics():
-    a = new_coherent(2.0, -1.0, "a")
-    b = new_squeezed(0.4, label="b")
-    m = linear_combine([(0.6, 0.6, a), (0.8, 0.8, b)])
-    stats = monte_carlo_sample([("m.plus", m, PLUS), ("m.minus", m, MINUS)], 200_000, seed=7)
-    for label, quad in (("m.plus", PLUS), ("m.minus", MINUS)):
-        i = stats.index(label)
-        assert abs(stats.means[i] - m.mean(quad)) < 5 * stats.mean_se[i]
-        assert abs(stats.variances[i] - variance(m, quad)) < 5 * stats.variance_se[i]
-
-
-def test_monte_carlo_covariance():
-    a = new_vacuum("a")
-    m1 = linear_combine([(1.0, 1.0, a)])
-    m2 = linear_combine([(0.5, 0.5, a)])
-    stats = monte_carlo_sample([("x", m1, PLUS), ("y", m2, PLUS)], 100_000, seed=3)
-    i, j = stats.index("x"), stats.index("y")
-    assert abs(stats.covariances[i, j] - 0.5) < 5 * stats.covariance_se[i, j]
-
-
-def test_monte_carlo_deterministic():
-    m = new_coherent(1.0, 1.0)
-    s1 = monte_carlo_sample([m], 1000, seed=42)
-    s2 = monte_carlo_sample([m], 1000, seed=42)
-    assert np.array_equal(s1.means, s2.means)
-    assert np.array_equal(s1.variances, s2.variances)
-
-
-def _sampled_network():
-    """Two modes over the axes of a and b, plus an idle vacuum whose
-    coefficients cancel and a zero-variance classical noise."""
-    a = new_coherent(2.0, -1.0, "a")
-    b = new_squeezed(0.4, label="b")
-    idle = new_vacuum("idle")
-    silent = classical_axis(0.0, "silent")
-    noise = ClassicalSignal(0.0, {silent: 1.0})
-    m = linear_combine([(0.6, 0.6, a), (0.8, -0.8, b), (0.3, 0.3, idle), (-0.3, -0.3, idle), (1.0, 1.0, noise)])
-    return m, linear_combine([(0.5, 0.5, a)])
-
-
-@pytest.mark.parametrize("n_shots", [CHUNK_SHOTS + 1, 1000])
-def test_draw_axes_moments_match_regenerated_chunks(n_shots):
-    m1, m2 = _sampled_network()
-    axes = weighted_axes([m1, m2])
-    coeffs = coefficient_matrix([m1.coeff_plus, m1.coeff_minus, m2.coeff_plus], axes)
-    got = draw_axes(axes, n_shots, 5, coeffs)
-
-    sizes = [min(CHUNK_SHOTS, n_shots - s) for s in range(0, n_shots, CHUNK_SHOTS)]
-    std = np.sqrt([ax.variance for ax in axes])[:, None]
-    d = np.hstack([std * np.random.default_rng(child).standard_normal((len(axes), n))
-                   for child, n in zip(np.random.SeedSequence(5).spawn(len(sizes)), sizes)])
-    x = coeffs @ d
-    assert got.n_shots == n_shots
-    for value, want in ((got.sum_x, x.sum(axis=1)), (got.xx, x @ x.T),
-                        (got.xd, x @ d.T), (got.sum_d, d.sum(axis=1))):
-        np.testing.assert_allclose(value, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-
-
 def test_cancelled_vacuum_leaves_no_key():
     a, idle = new_vacuum("a"), new_vacuum("idle")
     m = linear_combine([(0.6, 0.6, a), (0.3, 0.3, idle), (-0.3, -0.3, idle)])
     assert [ax.label for ax in mode_axes(m)] == ["a.plus", "a.minus"]
     (ax_p,), (ax_m,) = a.coeff_plus, a.coeff_minus
     assert m.coeff_plus == {ax_p: 0.6} and m.coeff_minus == {ax_m: 0.6}
-
-
-def test_only_weighted_axes_are_drawn():
-    # The zero-variance classical axis keeps its key but adds no variance.
-    m1, m2 = _sampled_network()
-    assert [ax.label for ax in mode_axes(m1)] == ["a.plus", "a.minus", "b.plus", "b.minus", "silent"]
-    assert [ax.label for ax in weighted_axes([m1, m2])] == ["a.plus", "a.minus", "b.plus", "b.minus"]
-
-
-def test_worker_count_capped_by_cpus_and_chunks(monkeypatch):
-    pools = []
-    real = concurrent.futures.ThreadPoolExecutor
-
-    def recording_pool(max_workers):
-        pools.append(max_workers)
-        return real(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
-    m1, _ = _sampled_network()
-    axes = weighted_axes([m1])
-    coeffs = coefficient_matrix([m1.coeff_plus], axes)
-    for cpus, n_shots in ((8, 3 * CHUNK_SHOTS), (2, 3 * CHUNK_SHOTS), (8, CHUNK_SHOTS)):
-        monkeypatch.setattr(modes, "_usable_cpus", lambda cpus=cpus: cpus)
-        draw_axes(axes, n_shots, 1, coeffs)
-    assert pools == [3, 2]  # one chunk runs inline, with no pool

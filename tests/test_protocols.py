@@ -33,7 +33,6 @@ from qss.protocols import (
     reconstruct_single_ff,
     reconstruct_two_opa,
     secret_gains,
-    single_ff_gain_map,
     solve_single_ff_unity_gain,
 )
 
@@ -43,6 +42,16 @@ V_N = 2.23872  # +3.5 dB
 
 def encode(v_sq=V_SQ, v_anti=None, v_n=V_N, **kw):
     return dealer_encode(DealerConfig(v_sq=v_sq, v_anti=v_anti, v_n=v_n, **kw))
+
+
+def single_ff_gain_map(reflectivity: float, g_elec: float) -> tuple[float, float]:
+    """Closed-form electronic-to-optical gain map of the single
+    feed-forward protocol with ideal optics: the oracle for the
+    compositional build."""
+    s = 1.0 / math.sqrt(2.0)
+    g_minus = math.sqrt(reflectivity) * s
+    g_plus = g_minus + g_elec * math.sqrt(1.0 - reflectivity) * s
+    return g_plus, g_minus
 
 
 def test_share_means_and_variances():
