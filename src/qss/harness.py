@@ -35,7 +35,6 @@ from .protocols import (
     classical_avg_fidelity,
     classical_bounds,
     dealer_encode,
-    secret_gains,
     make_report,
     parametric_correction,
     reconstruct_double_ff,
@@ -43,6 +42,7 @@ from .protocols import (
     reconstruct_pia,
     reconstruct_single_ff,
     reconstruct_two_opa,
+    secret_gains,
     solve_single_ff_unity_gain,
 )
 
@@ -138,17 +138,27 @@ class ExperimentConfig:
             raise ConfigError("shots must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for key, eta in (("dealer.eta_epr1_in", self.eta_epr1_in), ("efficiencies.mz", self.eta_mz),
+                         ("efficiencies.recon_bs", self.eta_recon_bs), ("efficiencies.lo", self.eta_lo),
+                         ("detector.eta_ff", self.eta_ff)):
+            if not 0.0 < eta <= 1.0:
+                raise ConfigError(f"{key} must be in (0, 1], got {eta}")
+        v_n_range = (self.sweep_v_n.start, self.sweep_v_n.stop) if self.sweep_v_n else ()
+        v_n_low = min((self.v_n, *v_n_range))
+        if v_n_low < 0.0:
+            raise ConfigError(f"classical noise variance must be >= 0, got {v_n_low}")
+        if self.secret_mean_plus == 0.0 or self.secret_mean_minus == 0.0:
+            raise ConfigError("secret means must be nonzero: signal transfer is undefined for a zero mean")
 
     def detector(self) -> DetectorSpec:
         return DetectorSpec(self.eta_ff, self.dark_noise)
 
     def dealer(self, v_n: float) -> DealerConfig:
-        eff = {"epr1_in": self.eta_epr1_in} if self.eta_epr1_in < 1.0 else {}
         return DealerConfig(
             v_sq=self.v_sq,
             v_anti=self.v_anti,
             v_n=v_n,
-            efficiencies=eff,
+            efficiencies={"epr1_in": self.eta_epr1_in},
             secret=new_coherent(self.secret_mean_plus, self.secret_mean_minus, "secret"),
         )
 
@@ -318,7 +328,7 @@ def _build_single_ff(cfg: ExperimentConfig, shares, share_a, r: float, g: float)
             eta_bs=cfg.eta_recon_bs, eta_lo=cfg.eta_lo)
 
     if cfg.unity_gain:
-        g = solve_single_ff_unity_gain(lambda ge: make_report(shares.secret, run_ff(ge)))
+        g = solve_single_ff_unity_gain(lambda ge: secret_gains(shares.secret, run_ff(ge)))
     out = run_ff(g)
     return out, parametric_correction(out)
 
@@ -404,15 +414,15 @@ def _evaluate_row(cfg: ExperimentConfig, r, g, n) -> dict:
     # protocol output, since the per-quadrature transfer bound assumes no
     # local squeezing after reconstruction (T itself is invariant under
     # the correction, so the comparison stays consistent).
-    rep = metrics.metrics_report(pipe.secret, pipe.corrected)
-    g_raw_p, g_raw_m = secret_gains(pipe.secret, pipe.raw)
-    f_max, t_max, v_min = classical_bounds(g_raw_p, g_raw_m)
+    raw = make_report(pipe.secret, pipe.raw)
+    rep = metrics.metrics_report(raw if pipe.corrected is pipe.raw else make_report(pipe.secret, pipe.corrected))
+    f_max, t_max, v_min = classical_bounds(raw.g_plus, raw.g_minus)
     row.update(
-        g_plus=g_raw_p,
-        g_minus=g_raw_m,
-        gain_product=g_raw_p * g_raw_m,
+        g_plus=raw.g_plus,
+        g_minus=raw.g_minus,
+        gain_product=raw.gain_product,
         fidelity=rep.fidelity,
-        fidelity_unity=metrics.unity_corrected_fidelity(pipe.secret, pipe.raw),
+        fidelity_unity=metrics.unity_corrected_fidelity(raw),
         t_plus=rep.t_plus,
         t_minus=rep.t_minus,
         signal_transfer=rep.signal_transfer,

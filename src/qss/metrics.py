@@ -1,11 +1,15 @@
 """Quality measures for reconstructed states: fidelity, signal transfer,
 added noise, entanglement criteria, and detector-efficiency inference.
 
-Two conditional-variance conventions exist: the optimal-estimator form
-V_in - cov^2 / V_out, and the coherent-secret form V_out - g^2.  Only
+A Gaussian output is fixed by its first and second moments, so every
+reconstruction metric here is a closed form of one
+:class:`~qss.protocols.ReconstructionReport`: the secret's means and the
+output's gains g+- and variances V+-.
+
+The conditional variance is reported in its coherent-secret form
+V_out - g^2, not the optimal-estimator form V_in - cov^2 / V_out: only
 the coherent-secret form reproduces the classical floor V >= 1/4 and
-the general bound V >= |1 - g+ g-|^2, so it is the reported product;
-both forms are exposed.
+the general bound V >= |1 - g+ g-|^2.
 """
 
 from __future__ import annotations
@@ -13,11 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .components import epr_pair, loss, phase_insensitive_amp, phase_sensitive_amp, phase_shift
-from .modes import MINUS, PLUS, QuadratureMode, covariance, new_squeezed, new_vacuum, variance
-from .protocols import classical_bounds, secret_gains
-
-COHERENT_TOL = 1e-9
+from .components import epr_pair, loss
+from .modes import MINUS, PLUS, QuadratureMode, covariance, new_squeezed, variance
+from .protocols import ReconstructionReport, classical_bounds
 
 
 @dataclass
@@ -45,12 +47,6 @@ class MetricsReport:
         return self.signal_transfer > self.t_classical_max or self.added_noise < self.v_classical_min
 
 
-def _require_coherent(secret: QuadratureMode):
-    for q in (PLUS, MINUS):
-        if abs(variance(secret, q) - 1.0) > COHERENT_TOL:
-            raise ValueError("fidelity is defined here for coherent (vacuum-statistics) secrets only")
-
-
 def fidelity(secret_means: tuple[float, float], g_plus: float, g_minus: float,
              v_out_plus: float, v_out_minus: float) -> float:
     """Gaussian overlap of a coherent secret with the reconstructed state.
@@ -67,56 +63,26 @@ def fidelity(secret_means: tuple[float, float], g_plus: float, g_minus: float,
     return 2.0 * math.exp(-(k_plus + k_minus) / 4.0) / math.sqrt((1.0 + v_out_plus) * (1.0 + v_out_minus))
 
 
-def fidelity_modes(secret: QuadratureMode, output: QuadratureMode) -> float:
-    _require_coherent(secret)
-    g_p, g_m = secret_gains(secret, output)
-    return fidelity(
-        (secret.mean_plus, secret.mean_minus),
-        g_p,
-        g_m,
-        variance(output, PLUS),
-        variance(output, MINUS),
-    )
-
-
-def signal_transfer(secret: QuadratureMode, output: QuadratureMode) -> tuple[float, float, float]:
+def signal_transfer(rep: ReconstructionReport) -> tuple[float, float, float]:
     """Quadrature SNR transfer coefficients T+ and T- and their sum.
 
     Defined via signal-to-noise ratios, so nonzero secret means are
     required, but the value itself is independent of their magnitude:
-    T = g^2 V_in / V_out per quadrature.
+    T = g^2 V_in / V_out per quadrature, with V_in = 1 for the coherent
+    secret.
     """
-    if secret.mean_plus == 0.0 or secret.mean_minus == 0.0:
+    if rep.secret.mean_plus == 0.0 or rep.secret.mean_minus == 0.0:
         raise ValueError("signal transfer is undefined for a zero secret mean")
-    g_p, g_m = secret_gains(secret, output)
-    t_plus = g_p**2 * variance(secret, PLUS) / variance(output, PLUS)
-    t_minus = g_m**2 * variance(secret, MINUS) / variance(output, MINUS)
+    t_plus = rep.g_plus**2 / rep.v_out_plus
+    t_minus = rep.g_minus**2 / rep.v_out_minus
     return t_plus, t_minus, t_plus + t_minus
 
 
-def conditional_variance(secret: QuadratureMode, output: QuadratureMode, quadrature: str,
-                         form: str = "coherent") -> float:
-    """Reconstruction noise on one quadrature.
-
-    ``form="coherent"`` gives V_out - g^2 (the reported convention);
-    ``form="optimal"`` gives the optimal-estimator V_in - cov^2/V_out.
-    A zero output variance degenerates to zero added noise.
-    """
-    v_out = variance(output, quadrature)
-    if form == "coherent":
-        g = secret_gains(secret, output)[0 if quadrature == PLUS else 1]
-        return v_out - g**2 if v_out > 0.0 else 0.0
-    if form == "optimal":
-        v_in = variance(secret, quadrature)
-        if v_out <= 0.0:
-            return v_in
-        c = covariance(secret, quadrature, output, quadrature)
-        return v_in - c**2 / v_out
-    raise ValueError(f"unknown conditional-variance form {form!r}")
-
-
-def additional_noise_product(secret: QuadratureMode, output: QuadratureMode, form: str = "coherent") -> float:
-    return conditional_variance(secret, output, PLUS, form) * conditional_variance(secret, output, MINUS, form)
+def conditional_variance(rep: ReconstructionReport, quadrature: str) -> float:
+    """Reconstruction noise V_out - g^2 on one quadrature.  A zero output
+    variance degenerates to zero added noise."""
+    g, v_out = (rep.g_plus, rep.v_out_plus) if quadrature == PLUS else (rep.g_minus, rep.v_out_minus)
+    return v_out - g**2 if v_out > 0.0 else 0.0
 
 
 def duan_inseparability(epr1: QuadratureMode, epr2: QuadratureMode) -> float:
@@ -172,44 +138,36 @@ def infer_homodyne(measured_variance: float, eta_hom: float) -> float:
     return 1.0 + (measured_variance - 1.0) / eta_hom
 
 
-def unity_corrected_fidelity(secret: QuadratureMode, output: QuadratureMode) -> float:
+def unity_corrected_fidelity(rep: ReconstructionReport) -> float:
     """Fidelity after correcting the output to unity gain.
 
-    Gains are first symmetrised by a noiseless squeezer, then brought to
-    one by minimal-noise amplification (g < 1) or attenuation (g > 1).
-    Returns 0 when the gain product is not positive.
+    A noiseless squeezer first symmetrises the gains to g = sqrt(g+ g-)
+    (after a pi phase shift when both are negative), scaling V+ by
+    k = g-/g+ and V- by 1/k.  Minimal-noise amplification (g < 1) or
+    attenuation (g > 1) then brings g to one, scaling each variance by
+    1/g^2 and adding |1/g^2 - 1|.  Returns 0 when the gain product is
+    not positive.
     """
-    _require_coherent(secret)
-    g_p, g_m = secret_gains(secret, output)
-    gg = g_p * g_m
+    gg = rep.g_plus * rep.g_minus
     if gg <= 0.0:
         return 0.0
-    if g_p < 0.0:
-        # Both gains negative: undo the overall pi phase first.
-        output = phase_shift(output, math.pi)
-    mode = phase_sensitive_amp(output, g_m / g_p)
-    g = math.sqrt(gg)
-    if g < 1.0:
-        mode = phase_insensitive_amp(mode, new_vacuum("corr_idler"), 1.0 / gg)
-    elif g > 1.0:
-        mode = loss(mode, 1.0 / gg, "corr_loss")
-    return fidelity_modes(secret, mode)
+    k = rep.g_minus / rep.g_plus
+    added = abs(1.0 / gg - 1.0)
+    return fidelity((rep.secret.mean_plus, rep.secret.mean_minus), 1.0, 1.0,
+                    k * rep.v_out_plus / gg + added, rep.v_out_minus / (k * gg) + added)
 
 
-def metrics_report(secret: QuadratureMode, output: QuadratureMode,
-                   zero_secret_component_fidelity: float = 0.0) -> MetricsReport:
+def metrics_report(rep: ReconstructionReport) -> MetricsReport:
     """Full F/T/V report for one reconstructed (or adversary) state."""
-    _require_coherent(secret)
-    g_p, g_m = secret_gains(secret, output)
+    g_p, g_m = rep.g_plus, rep.g_minus
     f_max, t_max, v_min = classical_bounds(g_p, g_m)
     if g_p == 0.0 and g_m == 0.0:
-        f = zero_secret_component_fidelity
-        t_p = t_m = 0.0
+        f = t_p = t_m = 0.0
     else:
-        f = fidelity_modes(secret, output)
-        t_p, t_m, _ = signal_transfer(secret, output)
-    v_p = conditional_variance(secret, output, PLUS)
-    v_m = conditional_variance(secret, output, MINUS)
+        f = fidelity((rep.secret.mean_plus, rep.secret.mean_minus), g_p, g_m, rep.v_out_plus, rep.v_out_minus)
+        t_p, t_m, _ = signal_transfer(rep)
+    v_p = conditional_variance(rep, PLUS)
+    v_m = conditional_variance(rep, MINUS)
     return MetricsReport(
         fidelity=f,
         g_plus=g_p,

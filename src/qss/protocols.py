@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from .components import (
@@ -58,6 +59,7 @@ UNITY_SINGLE_FF_GAIN = 2.0 * math.sqrt(2.0)
 UNITY_DOUBLE_FF_GAIN = 1.0  # the optical gain the double feed-forward solves for
 SINGLE_FF_REFLECTIVITY = 2.0 / 3.0  # the optimal 2:1 splitter
 DOUBLE_FF_REFLECTIVITY = 0.5
+COHERENT_TOL = 1e-9
 
 
 @dataclass
@@ -104,20 +106,28 @@ class ShareSet:
 
 @dataclass
 class ReconstructionReport:
-    """Gains, output variances and the coefficient table for one run."""
+    """The moments of one output relative to its coherent secret: the
+    optical gains g+-, the output variances V+- and, on first read, the
+    per-axis coefficient table.  With the secret's means they fix every
+    metric of a Gaussian output."""
 
     g_plus: float
     g_minus: float
     v_out_plus: float
     v_out_minus: float
-    coefficients: dict[str, tuple[float, float]]
-    params: dict
     output: QuadratureMode
     secret: QuadratureMode
 
     @property
     def gain_product(self) -> float:
         return self.g_plus * self.g_minus
+
+    @cached_property
+    def coefficients(self) -> dict[str, tuple[float, float]]:
+        """(X+, X-) coefficients of the output, by unique axis name."""
+        out = self.output
+        return {name: (out.coeff_plus.get(ax, 0.0), out.coeff_minus.get(ax, 0.0))
+                for ax, name in axis_names(mode_axes(out)).items()}
 
 
 def secret_gains(secret: QuadratureMode, output: QuadratureMode) -> tuple[float, float]:
@@ -127,20 +137,14 @@ def secret_gains(secret: QuadratureMode, output: QuadratureMode) -> tuple[float,
     return output.coeff_plus.get(sec_p, 0.0), output.coeff_minus.get(sec_m, 0.0)
 
 
-def make_report(secret: QuadratureMode, output: QuadratureMode, params: dict | None = None) -> ReconstructionReport:
+def make_report(secret: QuadratureMode, output: QuadratureMode) -> ReconstructionReport:
+    """The moments of ``output`` relative to ``secret``, which must be
+    coherent: the metrics assume a secret of vacuum statistics."""
+    for q in (PLUS, MINUS):
+        if abs(variance(secret, q) - 1.0) > COHERENT_TOL:
+            raise ValueError("fidelity is defined here for coherent (vacuum-statistics) secrets only")
     g_p, g_m = secret_gains(secret, output)
-    table = {name: (output.coeff_plus.get(ax, 0.0), output.coeff_minus.get(ax, 0.0))
-             for ax, name in axis_names(mode_axes(output)).items()}
-    return ReconstructionReport(
-        g_p,
-        g_m,
-        variance(output, PLUS),
-        variance(output, MINUS),
-        table,
-        params or {},
-        output,
-        secret,
-    )
+    return ReconstructionReport(g_p, g_m, variance(output, PLUS), variance(output, MINUS), output, secret)
 
 
 def dealer_encode(cfg: DealerConfig) -> ShareSet:
@@ -289,34 +293,37 @@ def reconstruct_double_ff(
 
     g0 = secret_gains(secret, build(0.0, 0.0))
     g1 = secret_gains(secret, build(1.0, 1.0))
-    gains = []
-    for q in (0, 1):
-        slope = g1[q] - g0[q]
-        if abs(slope) < 1e-12:
-            raise ValueError(f"optical gain {g_target} is unreachable at reflectivity {reflectivity}")
-        gains.append((g_target - g0[q]) / slope)
-    return build(gains[0], gains[1])
+    error = f"optical gain {g_target} is unreachable at reflectivity {reflectivity}"
+    return build(*(_electronic_gain(a, b, g_target, error) for a, b in zip(g0, g1)))
 
 
-def solve_single_ff_unity_gain(build, probe=(0.0, 1.0)) -> float:
-    """Electronic gain achieving g+ g- = 1 for a linear pipeline builder.
+def _electronic_gain(g0: float, g1: float, target: float, error: str) -> float:
+    """Electronic gain at which an optical gain that is affine in it,
+    ``g0`` at electronic gain 0 and ``g1`` at 1, equals ``target``."""
+    slope = g1 - g0
+    if abs(slope) < 1e-12:
+        raise ValueError(error)
+    return (target - g0) / slope
 
-    ``build(g_elec)`` must return a ReconstructionReport; the map from
-    electronic gain to g+ is affine, g- is fixed by the splitter.
+
+def solve_single_ff_unity_gain(gains) -> float:
+    """Electronic gain achieving g+ g- = 1 for a linear pipeline.
+
+    ``gains(g_elec)`` must return the optical gains (g+, g-); g+ is
+    affine in the electronic gain, g- is fixed by the splitter.
     """
-    r0, r1 = build(probe[0]), build(probe[1])
-    slope = (r1.g_plus - r0.g_plus) / (probe[1] - probe[0])
-    if abs(slope) < 1e-12 or abs(r0.g_minus) < 1e-12:
-        raise ValueError("unity gain unreachable for this configuration")
-    target_g_plus = 1.0 / r0.g_minus
-    return probe[0] + (target_g_plus - r0.g_plus) / slope
+    (g0_plus, g_minus), (g1_plus, _) = gains(0.0), gains(1.0)
+    error = "unity gain unreachable for this configuration"
+    if abs(g_minus) < 1e-12:
+        raise ValueError(error)
+    return _electronic_gain(g0_plus, g1_plus, 1.0 / g_minus, error)
 
 
 def adversary_view(shares: ShareSet, k: int) -> ReconstructionReport:
     """Report on a single raw share (the adversary's best passive view)."""
     if k not in (1, 2, 3):
         raise ValueError("player index must be 1, 2 or 3")
-    return make_report(shares.secret, shares.share(k), {"protocol": f"adversary_{k}"})
+    return make_report(shares.secret, shares.share(k))
 
 
 def adversary_amplified(shares: ShareSet, k: int, amp_gain: float = math.sqrt(2.0), idler: QuadratureMode | None = None) -> QuadratureMode:

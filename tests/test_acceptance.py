@@ -26,7 +26,7 @@ from qss.components import (
     phase_shift,
 )
 from qss.harness import ExperimentConfig, SweepAxis, build_pipeline, oracle_check, preset_config, run
-from qss.metrics import duan_inseparability, fidelity_modes, reid_epr, unity_corrected_fidelity
+from qss.metrics import duan_inseparability, metrics_report, reid_epr
 from qss.modes import (
     MINUS,
     PLUS,
@@ -76,7 +76,7 @@ def test_criterion_1_mz_exactness():
                     default=0.0,
                 )
                 worst_coeff = max(worst_coeff, foreign)
-                worst_f = max(worst_f, abs(fidelity_modes(shares.secret, out) - 1.0))
+                worst_f = max(worst_f, abs(metrics_report(rep).fidelity - 1.0))
     elapsed = time.perf_counter() - start
     ok = worst_coeff < 1e-12 and worst_f < 1e-12 and elapsed < 1.0
     report(1, "MZ exactness", ok,
@@ -152,10 +152,11 @@ def test_criterion_4_quantum_advantage_ideal():
     start = time.perf_counter()
     shares = dealer_encode(DealerConfig(v_sq=V_SQ_45DB))
     out = reconstruct_pia(shares.share1, shares.share3)
-    f23 = fidelity_modes(shares.secret, out)
+    f23 = metrics_report(make_report(shares.secret, out)).fidelity
     f_avg = (1.0 + 2.0 * f23) / 3.0
     shares_hi = dealer_encode(DealerConfig(v_sq=1e-6))
-    f23_hi = fidelity_modes(shares_hi.secret, reconstruct_pia(shares_hi.share1, shares_hi.share3))
+    f23_hi = metrics_report(make_report(
+        shares_hi.secret, reconstruct_pia(shares_hi.share1, shares_hi.share3))).fidelity
     elapsed = time.perf_counter() - start
     ok = (
         abs(f23 - 0.738) <= 1e-3

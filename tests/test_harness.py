@@ -380,3 +380,27 @@ def test_cli_seed_and_shots_override():
     loaded = cli._load_config(args)
     assert loaded.seed == 7 and loaded.shots == 20000
     assert cfg.seed != 7 or cfg.shots != 20000
+
+
+@pytest.mark.parametrize("key", ["dealer.eta_epr1_in", "efficiencies.mz", "efficiencies.recon_bs",
+                                 "efficiencies.lo", "detector.eta_ff"])
+@pytest.mark.parametrize("eta", [1.5, 0.0])
+def test_cli_efficiency_outside_unit_interval_exit_code(tmp_path, capsys, key, eta):
+    cfg = tmp_path / "eta.cfg"
+    cfg.write_text(f"protocol.name = single_ff\n{key} = {eta}\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {key} must be in (0, 1], got {eta}"]
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("dealer.v_n = -1", "classical noise variance must be >= 0, got -1.0"),
+    ("sweep.v_n.start = 2\nsweep.v_n.stop = -1\nsweep.v_n.steps = 4",
+     "classical noise variance must be >= 0, got -1.0"),
+    ("secret.mean_plus = 0", "secret means must be nonzero: signal transfer is undefined for a zero mean"),
+    ("secret.mean_minus = 0", "secret means must be nonzero: signal transfer is undefined for a zero mean"),
+])
+def test_cli_invalid_dealer_config_exit_code(tmp_path, capsys, lines, message):
+    cfg = tmp_path / "dealer.cfg"
+    cfg.write_text(f"protocol.name = mz\n{lines}\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]

@@ -1,14 +1,16 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qss.components import epr_pair, loss, phase_sensitive_amp
+from qss import harness
+from qss.components import epr_pair, loss, phase_insensitive_amp, phase_sensitive_amp, phase_shift
+from qss.harness import build_pipeline, preset_config
 from qss.metrics import (
-    additional_noise_product,
     conditional_variance,
     duan_inseparability,
     fidelity,
-    fidelity_modes,
     infer_homodyne,
     metrics_report,
     reid_epr,
@@ -28,6 +30,7 @@ from qss.protocols import (
     DealerConfig,
     classical_bounds,
     dealer_encode,
+    make_report,
     reconstruct_pia,
     reconstruct_single_ff,
 )
@@ -35,9 +38,32 @@ from qss.protocols import (
 V_SQ = 0.354813
 
 
+def composed_unity_fidelity(secret, output) -> float:
+    """Oracle for the closed-form unity correction: correct the output
+    with optical components and read the fidelity off the result.
+
+    A pi phase shift undoes two negative gains, a noiseless squeezer
+    symmetrises them, and minimal-noise amplification (g < 1) or loss
+    (g > 1) brings them to one.
+    """
+    rep = make_report(secret, output)
+    gg = rep.gain_product
+    if gg <= 0.0:
+        return 0.0
+    if rep.g_plus < 0.0:
+        output = phase_shift(output, math.pi)
+    mode = phase_sensitive_amp(output, rep.g_minus / rep.g_plus)
+    g = math.sqrt(gg)
+    if g < 1.0:
+        mode = phase_insensitive_amp(mode, new_vacuum("corr_idler"), 1.0 / gg)
+    elif g > 1.0:
+        mode = loss(mode, 1.0 / gg, "corr_loss")
+    return metrics_report(make_report(secret, mode)).fidelity
+
+
 def test_fidelity_of_perfect_copy():
     s = new_coherent(5.0, 5.0)
-    assert fidelity_modes(s, s) == pytest.approx(1.0)
+    assert metrics_report(make_report(s, s)).fidelity == pytest.approx(1.0)
 
 
 def test_fidelity_closed_form():
@@ -51,32 +77,30 @@ def test_fidelity_closed_form():
 
 def test_fidelity_zero_for_secret_free_output():
     s = new_coherent(5.0, 5.0)
-    assert fidelity_modes(s, new_vacuum()) == 0.0
+    assert metrics_report(make_report(s, new_vacuum())).fidelity == 0.0
 
 
 def test_fidelity_requires_coherent_secret():
     with pytest.raises(ValueError):
-        fidelity_modes(new_squeezed(0.5), new_vacuum())
+        metrics_report(make_report(new_squeezed(0.5), new_vacuum()))
 
 
 def test_signal_transfer_values():
     s = new_coherent(5.0, 5.0)
     out = linear_combine([(1.0, 1.0, s), (1.0, 1.0, new_vacuum())])
-    t_p, t_m, t = signal_transfer(s, out)
+    t_p, t_m, t = signal_transfer(make_report(s, out))
     assert t_p == pytest.approx(0.5)
     assert t == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        signal_transfer(new_coherent(0.0, 1.0), out)
+        signal_transfer(make_report(new_coherent(0.0, 1.0), out))
 
 
-def test_conditional_variance_forms():
+def test_conditional_variance_coherent_form():
     s = new_coherent(5.0, 5.0)
     out = linear_combine([(1.0, 1.0, s), (1.0, 1.0, new_vacuum())])
-    assert conditional_variance(s, out, PLUS) == pytest.approx(1.0)  # V_out - g^2 = 2 - 1
-    assert conditional_variance(s, out, PLUS, "optimal") == pytest.approx(0.5)  # 1 - 1/2
-    with pytest.raises(ValueError):
-        conditional_variance(s, out, PLUS, "bogus")
-    assert additional_noise_product(s, out) == pytest.approx(1.0)
+    rep = make_report(s, out)
+    assert conditional_variance(rep, PLUS) == pytest.approx(1.0)  # V_out - g^2 = 2 - 1
+    assert metrics_report(rep).added_noise == pytest.approx(1.0)
 
 
 def test_duan_and_reid_for_vacua():
@@ -115,15 +139,15 @@ def test_infer_homodyne():
 def test_unity_corrected_fidelity_invariant_under_squeezing():
     s = new_coherent(5.0, 5.0)
     out = linear_combine([(1.0, 1.0, s), (1.0, 1.0, new_vacuum())])
-    f_ref = unity_corrected_fidelity(s, out)
+    f_ref = unity_corrected_fidelity(make_report(s, out))
     squeezed_out = phase_sensitive_amp(out, 2.0)
-    assert unity_corrected_fidelity(s, squeezed_out) == pytest.approx(f_ref, abs=1e-12)
+    assert unity_corrected_fidelity(make_report(s, squeezed_out)) == pytest.approx(f_ref, abs=1e-12)
 
 
 def test_unity_corrected_fidelity_handles_sign_flip():
     shares = dealer_encode(DealerConfig(v_sq=V_SQ, v_n=2.23872))
-    f1 = unity_corrected_fidelity(shares.secret, shares.share1)
-    f2 = unity_corrected_fidelity(shares.secret, shares.share2)
+    f1 = unity_corrected_fidelity(make_report(shares.secret, shares.share1))
+    f2 = unity_corrected_fidelity(make_report(shares.secret, shares.share2))
     assert f1 == pytest.approx(f2, abs=1e-12)
     assert 0.0 < f1 <= 0.5 + 1e-12
 
@@ -131,7 +155,7 @@ def test_unity_corrected_fidelity_handles_sign_flip():
 def test_metrics_report_fields():
     shares = dealer_encode(DealerConfig(v_sq=V_SQ))
     out = reconstruct_pia(shares.share1, shares.share3)
-    rep = metrics_report(shares.secret, out)
+    rep = metrics_report(make_report(shares.secret, out))
     assert rep.gain_product == pytest.approx(1.0, abs=1e-10)
     assert rep.fidelity == pytest.approx(2.0 / (2.0 + 2.0 * V_SQ), rel=1e-6)
     # The group-level classical limit follows from the share-access gains
@@ -148,7 +172,7 @@ def test_raw_feed_forward_beats_gain_dependent_tv_bound():
     # (asymmetric) gains; the symmetrising correction leaves T unchanged.
     shares = dealer_encode(DealerConfig(v_sq=V_SQ))
     out = reconstruct_single_ff(shares.share1, shares.share3)
-    rep = metrics_report(shares.secret, out)
+    rep = metrics_report(make_report(shares.secret, out))
     assert rep.g_plus == pytest.approx(math.sqrt(3.0), abs=1e-10)
     assert rep.g_minus == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-10)
     assert rep.signal_transfer > rep.t_classical_max
@@ -157,6 +181,35 @@ def test_raw_feed_forward_beats_gain_dependent_tv_bound():
 
 def test_metrics_report_zero_gain_share():
     shares = dealer_encode(DealerConfig(v_sq=V_SQ, v_n=1.0))
-    rep = metrics_report(shares.secret, shares.share3)
+    rep = metrics_report(make_report(shares.secret, shares.share3))
     assert rep.fidelity == 0.0
     assert rep.signal_transfer == 0.0
+
+
+# Zero or of physical size: below about 1e-154, k g+ g- = g-^2 underflows.
+gains = st.floats(-3.0, 3.0).filter(lambda g: g == 0.0 or abs(g) >= 1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g_plus=gains, g_minus=gains, v_plus=st.floats(0.0, 10.0), v_minus=st.floats(0.0, 10.0))
+@example(g_plus=-0.5, g_minus=-1.5, v_plus=1.0, v_minus=2.0)  # both negative
+@example(g_plus=0.5, g_minus=-1.5, v_plus=1.0, v_minus=2.0)  # g+ g- < 0
+@example(g_plus=0.0, g_minus=1.5, v_plus=1.0, v_minus=2.0)  # g+ g- = 0
+@example(g_plus=0.3, g_minus=0.6, v_plus=1.0, v_minus=2.0)  # g < 1
+@example(g_plus=2.0, g_minus=1.5, v_plus=1.0, v_minus=2.0)  # g > 1
+def test_unity_corrected_fidelity_matches_composition(g_plus, g_minus, v_plus, v_minus):
+    s = new_coherent(5.0, 5.0)
+    out = linear_combine([(g_plus, g_minus, s), (math.sqrt(v_plus), math.sqrt(v_minus), new_vacuum())])
+    expect = composed_unity_fidelity(s, out)
+    assert unity_corrected_fidelity(make_report(s, out)) == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig3b", "fig4a-classical"])
+def test_unity_corrected_fidelity_matches_composition_on_presets(name):
+    cfg = preset_config(name)
+    worst = 0.0
+    for r, g, n in harness._grid(cfg):
+        pipe = build_pipeline(cfg, r, g, n)
+        worst = max(worst, abs(unity_corrected_fidelity(make_report(pipe.secret, pipe.raw))
+                               - composed_unity_fidelity(pipe.secret, pipe.raw)))
+    assert worst < 1e-12

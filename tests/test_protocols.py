@@ -4,7 +4,7 @@ import random
 import pytest
 
 from qss.components import phase_shift
-from qss.metrics import fidelity_modes
+from qss.metrics import metrics_report
 from qss.modes import (
     MINUS,
     PLUS,
@@ -166,14 +166,24 @@ def test_single_ff_unity_electronic_gain():
 def test_solve_single_ff_unity_gain_with_losses():
     shares = encode()
 
-    def build(g_e):
+    def gains(g_e):
         out = reconstruct_single_ff(shares.share1, shares.share3, 2.0 / 3.0, g_e,
                                     mirror_reflectivity=50.0 / 51.0, eta_bs=0.97)
-        return make_report(shares.secret, out)
+        return secret_gains(shares.secret, out)
 
-    g_e = solve_single_ff_unity_gain(build)
-    rep = build(g_e)
-    assert rep.gain_product == pytest.approx(1.0, abs=1e-10)
+    g_p, g_m = gains(solve_single_ff_unity_gain(gains))
+    assert g_p * g_m == pytest.approx(1.0, abs=1e-10)
+
+
+def test_unreachable_gains_name_their_cause():
+    # With every photon reflected, the feed-forward cannot move g+; with
+    # none, the measured beams carry no secret.
+    shares = encode()
+    with pytest.raises(ValueError, match="^unity gain unreachable for this configuration$"):
+        solve_single_ff_unity_gain(lambda g_e: secret_gains(
+            shares.secret, reconstruct_single_ff(shares.share1, shares.share3, 1.0, g_e)))
+    with pytest.raises(ValueError, match=r"^optical gain 1\.0 is unreachable at reflectivity 0\.0$"):
+        reconstruct_double_ff(shares.share1, shares.share3, shares.secret, reflectivity=0.0)
 
 
 def test_double_ff_hits_requested_gain():
@@ -213,7 +223,7 @@ def test_adversary_amplified_saturates_classical_bound():
     g_p, g_m = secret_gains(shares.secret, out)
     assert g_p == pytest.approx(1.0, abs=1e-12)
     assert variance(out, PLUS) == pytest.approx(3.0, abs=1e-12)
-    f = fidelity_modes(shares.secret, out)
+    f = metrics_report(make_report(shares.secret, out)).fidelity
     assert f == pytest.approx(0.5, abs=1e-12)
     f_max, _, _ = classical_bounds(g_p, g_m)
     assert f <= f_max + 1e-12
