@@ -15,15 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .modes import (
-    PLUS,
-    ClassicalSignal,
-    QuadratureMode,
-    _accumulate,
-    classical_axis,
-    linear_combine,
-    new_vacuum,
-)
+from .modes import PLUS, LinearForm, QuadratureMode, classical_axis, combine, linear_combine, new_vacuum
 
 
 @dataclass(frozen=True)
@@ -55,17 +47,7 @@ def phase_shift(mode: QuadratureMode, phi: float) -> QuadratureMode:
     """Rotate the quadratures: X+' = cos(phi) X+ - sin(phi) X-."""
     mode.require_live()
     c, s = math.cos(phi), math.sin(phi)
-    coeff_p, coeff_m = {}, {}
-    _accumulate(coeff_p, mode.coeff_plus, c)
-    _accumulate(coeff_p, mode.coeff_minus, -s)
-    _accumulate(coeff_m, mode.coeff_plus, s)
-    _accumulate(coeff_m, mode.coeff_minus, c)
-    return QuadratureMode(
-        c * mode.mean_plus - s * mode.mean_minus,
-        s * mode.mean_plus + c * mode.mean_minus,
-        coeff_p,
-        coeff_m,
-    )
+    return QuadratureMode(combine([(c, mode.plus), (-s, mode.minus)]), combine([(s, mode.plus), (c, mode.minus)]))
 
 
 def epr_pair(sqz1: QuadratureMode, sqz2: QuadratureMode):
@@ -105,7 +87,7 @@ def loss(mode: QuadratureMode, eta: float, label: str = "loss") -> QuadratureMod
     return out
 
 
-def homodyne(mode: QuadratureMode, quadrature: str, det: DetectorSpec = IDEAL_DETECTOR) -> ClassicalSignal:
+def homodyne(mode: QuadratureMode, quadrature: str, det: DetectorSpec = IDEAL_DETECTOR) -> LinearForm:
     """Measure one quadrature; the mode is destroyed and may not be reused.
 
     Detector inefficiency admixes vacuum; dark noise enters as a
@@ -114,29 +96,25 @@ def homodyne(mode: QuadratureMode, quadrature: str, det: DetectorSpec = IDEAL_DE
     mode.require_live()
     mode.consumed = True
     eta = det.efficiency
-    coeffs: dict = {}
-    _accumulate(coeffs, mode.coeffs(quadrature), math.sqrt(eta))
+    terms = [(math.sqrt(eta), mode.quad(quadrature))]
     if eta < 1.0:
-        _accumulate(coeffs, new_vacuum("hd_vac").coeffs(quadrature), math.sqrt(1.0 - eta))
+        terms.append((math.sqrt(1.0 - eta), new_vacuum("hd_vac").quad(quadrature)))
     if det.dark_noise_variance > 0.0:
-        coeffs[classical_axis(det.dark_noise_variance, "dark")] = 1.0
-    return ClassicalSignal(math.sqrt(eta) * mode.mean(quadrature), coeffs)
+        terms.append((1.0, LinearForm(0.0, {classical_axis(det.dark_noise_variance, "dark"): 1.0})))
+    return combine(terms)
 
 
-def displace(target: QuadratureMode, quadrature: str, signal: ClassicalSignal, gain: float) -> QuadratureMode:
+def displace(target: QuadratureMode, quadrature: str, signal: LinearForm, gain: float) -> QuadratureMode:
     """Add ``gain * signal`` (mean and fluctuations) to one quadrature."""
     target.require_live()
-    coeffs = dict(target.coeffs(quadrature))
-    _accumulate(coeffs, signal.coeffs, gain)
-    if quadrature == PLUS:
-        return QuadratureMode(target.mean_plus + gain * signal.mean, target.mean_minus, coeffs, target.coeff_minus)
-    return QuadratureMode(target.mean_plus, target.mean_minus + gain * signal.mean, target.coeff_plus, coeffs)
+    shifted = combine([(1.0, target.quad(quadrature)), (gain, signal)])
+    return QuadratureMode(shifted, target.minus) if quadrature == PLUS else QuadratureMode(target.plus, shifted)
 
 
 def lo_displace(
     target: QuadratureMode,
     quadrature: str,
-    signal: ClassicalSignal,
+    signal: LinearForm,
     gain: float,
     mirror_reflectivity: float,
     aux_eta: float = 1.0,

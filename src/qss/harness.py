@@ -25,6 +25,7 @@ from .components import DetectorSpec
 from .modes import QuadratureMode, db_to_linear, new_coherent
 from .oracle import ORACLE_Z_LIMIT, OracleFinding, compare_mode_to_samples
 from .protocols import (
+    DEFAULT_SECRET_MEANS,
     DOUBLE_FF_REFLECTIVITY,
     SINGLE_FF_REFLECTIVITY,
     UNITY_DOUBLE_FF_GAIN,
@@ -105,8 +106,8 @@ class ExperimentConfig:
     v_anti: float | None = None
     v_n: float = 0.0
     eta_epr1_in: float = 1.0
-    secret_mean_plus: float = 5.0
-    secret_mean_minus: float = 5.0
+    secret_mean_plus: float = DEFAULT_SECRET_MEANS[0]
+    secret_mean_minus: float = DEFAULT_SECRET_MEANS[1]
 
     # protocol parameters
     reflectivity: float | None = None
@@ -158,7 +159,7 @@ class ExperimentConfig:
             v_sq=self.v_sq,
             v_anti=self.v_anti,
             v_n=v_n,
-            efficiencies={"epr1_in": self.eta_epr1_in},
+            eta_epr1_in=self.eta_epr1_in,
             secret=new_coherent(self.secret_mean_plus, self.secret_mean_minus, "secret"),
         )
 
@@ -186,9 +187,26 @@ def _boolean(value) -> bool:
     raise ConfigError(f"expected true or false, got {value!r}")
 
 
+def _integer(value) -> int:
+    """An int, or a float of integral value such as ``1e6``; not a bool."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"expected an integer, got {value!r}")
+
+
+def _cast(key: str, caster, value):
+    """``caster(value)``, naming ``key`` in a :class:`ConfigError`."""
+    try:
+        return caster(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 _SCALAR_KEYS = {
     "protocol.name": ("protocol", str),
-    "protocol.player": ("player", int),
+    "protocol.player": ("player", _integer),
     "protocol.reflectivity": ("reflectivity", float),
     "protocol.gain": ("gain", float),
     "protocol.unity_gain": ("unity_gain", _boolean),
@@ -204,9 +222,9 @@ _SCALAR_KEYS = {
     "efficiencies.lo": ("eta_lo", float),
     "detector.eta_ff": ("eta_ff", float),
     "detector.dark_noise": ("dark_noise", float),
-    "oracle.shots": ("shots", int),
-    "oracle.seed": ("seed", int),
-    "oracle.rows": ("oracle_rows", int),
+    "oracle.shots": ("shots", _integer),
+    "oracle.seed": ("seed", _integer),
+    "oracle.rows": ("oracle_rows", _integer),
 }
 
 _SWEEP_KEYS = {"sweep.gain": "sweep_gain", "sweep.reflectivity": "sweep_reflectivity", "sweep.v_n": "sweep_v_n"}
@@ -263,7 +281,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
             continue
         if key in _SCALAR_KEYS:
             attr, caster = _SCALAR_KEYS[key]
-            kwargs[attr] = caster(value)
+            kwargs[attr] = _cast(key, caster, value)
             continue
         parts = key.rsplit(".", 1)
         if len(parts) == 2 and parts[0] in _SWEEP_KEYS and parts[1] in ("start", "stop", "steps"):
@@ -273,8 +291,8 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     for sweep_key, fields in sweeps.items():
         if "start" not in fields or "stop" not in fields:
             raise ConfigError(f"{sweep_key} needs start and stop")
-        axis = SweepAxis(float(fields["start"]), float(fields["stop"]), int(fields.get("steps", 41)))
-        kwargs[_SWEEP_KEYS[sweep_key]] = axis
+        steps = {"steps": _cast(f"{sweep_key}.steps", _integer, fields["steps"])} if "steps" in fields else {}
+        kwargs[_SWEEP_KEYS[sweep_key]] = SweepAxis(float(fields["start"]), float(fields["stop"]), **steps)
     try:
         return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:

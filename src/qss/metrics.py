@@ -71,7 +71,7 @@ def signal_transfer(rep: ReconstructionReport) -> tuple[float, float, float]:
     T = g^2 V_in / V_out per quadrature, with V_in = 1 for the coherent
     secret.
     """
-    if rep.secret.mean_plus == 0.0 or rep.secret.mean_minus == 0.0:
+    if rep.secret.plus.mean == 0.0 or rep.secret.minus.mean == 0.0:
         raise ValueError("signal transfer is undefined for a zero secret mean")
     t_plus = rep.g_plus**2 / rep.v_out_plus
     t_minus = rep.g_minus**2 / rep.v_out_minus
@@ -89,10 +89,10 @@ def duan_inseparability(epr1: QuadratureMode, epr2: QuadratureMode) -> float:
     """Geometric mean of the best sum/difference variances, normalised so
     two vacua sit exactly at the separability boundary 1."""
     best = []
-    for q in (PLUS, MINUS):
-        va = variance(epr1, q)
-        vb = variance(epr2, q)
-        c = covariance(epr1, q, epr2, q)
+    for a, b in ((epr1.plus, epr2.plus), (epr1.minus, epr2.minus)):
+        va = variance(a)
+        vb = variance(b)
+        c = covariance(a, b)
         best.append(min(va + vb + 2 * c, va + vb - 2 * c) / 2.0)
     return math.sqrt(best[0] * best[1])
 
@@ -123,10 +123,10 @@ def fit_symmetric_epr_loss(target_duan: float, v_sq: float, v_anti: float | None
 def reid_epr(epr1: QuadratureMode, epr2: QuadratureMode) -> float:
     """Product of conditional variances of one beam given the other."""
     prod = 1.0
-    for q in (PLUS, MINUS):
-        va = variance(epr1, q)
-        vb = variance(epr2, q)
-        c = covariance(epr1, q, epr2, q)
+    for a, b in ((epr1.plus, epr2.plus), (epr1.minus, epr2.minus)):
+        va = variance(a)
+        vb = variance(b)
+        c = covariance(a, b)
         prod *= va - (c**2 / vb if vb > 0.0 else 0.0)
     return prod
 
@@ -146,15 +146,17 @@ def unity_corrected_fidelity(rep: ReconstructionReport) -> float:
     k = g-/g+ and V- by 1/k.  Minimal-noise amplification (g < 1) or
     attenuation (g > 1) then brings g to one, scaling each variance by
     1/g^2 and adding |1/g^2 - 1|.  Returns 0 when the gain product is
-    not positive.
+    not positive.  When k g+ g- = g-^2 underflows to 0, V-/(k g+ g-) is
+    taken as its limit +inf, so the fidelity is its limit 0.
     """
     gg = rep.g_plus * rep.g_minus
     if gg <= 0.0:
         return 0.0
     k = rep.g_minus / rep.g_plus
     added = abs(1.0 / gg - 1.0)
-    return fidelity((rep.secret.mean_plus, rep.secret.mean_minus), 1.0, 1.0,
-                    k * rep.v_out_plus / gg + added, rep.v_out_minus / (k * gg) + added)
+    v_minus = rep.v_out_minus / (k * gg) + added if k * gg != 0.0 else math.inf
+    return fidelity((rep.secret.plus.mean, rep.secret.minus.mean), 1.0, 1.0,
+                    k * rep.v_out_plus / gg + added, v_minus)
 
 
 def metrics_report(rep: ReconstructionReport) -> MetricsReport:
@@ -164,7 +166,7 @@ def metrics_report(rep: ReconstructionReport) -> MetricsReport:
     if g_p == 0.0 and g_m == 0.0:
         f = t_p = t_m = 0.0
     else:
-        f = fidelity((rep.secret.mean_plus, rep.secret.mean_minus), g_p, g_m, rep.v_out_plus, rep.v_out_minus)
+        f = fidelity((rep.secret.plus.mean, rep.secret.minus.mean), g_p, g_m, rep.v_out_plus, rep.v_out_minus)
         t_p, t_m, _ = signal_transfer(rep)
     v_p = conditional_variance(rep, PLUS)
     v_m = conditional_variance(rep, MINUS)

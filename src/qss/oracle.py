@@ -23,23 +23,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import MINUS, PLUS, NoiseAxis, QuadratureMode, _creation_order, axis_names, variance
+from .modes import MINUS, PLUS, NoiseAxis, QuadratureMode, axis_names, mode_axes, variance
 
 CHUNK_SHOTS = 1 << 16
 ORACLE_Z_LIMIT = 5.0
 
 
 def weighted_axes(modes) -> list[NoiseAxis]:
-    """Axes, in creation order, that add variance to either quadrature of
-    any of ``modes``: a nonzero coefficient on an axis of nonzero variance."""
-    return _creation_order(ax for mode in modes for coeffs in (mode.coeff_plus, mode.coeff_minus)
-                           for ax, c in coeffs.items() if c != 0.0 and ax.variance != 0.0)
+    """Axes that add variance to either quadrature of any of ``modes``, in
+    the order of :func:`~qss.modes.mode_axes`: those of nonzero variance,
+    since the form algebra stores no zero coefficient."""
+    return [ax for ax in mode_axes(*modes) if ax.variance != 0.0]
 
 
-def coefficient_matrix(rows, axes) -> np.ndarray:
-    """``(len(rows), len(axes))`` array of each coefficient dict in
-    ``rows`` on each axis."""
-    return np.array([[coeffs.get(ax, 0.0) for ax in axes] for coeffs in rows])
+def coefficient_matrix(forms, axes) -> np.ndarray:
+    """``(len(forms), len(axes))`` array of the coefficient of each form
+    on each axis."""
+    return np.array([[form.coeffs.get(ax, 0.0) for ax in axes] for form in forms])
 
 
 @dataclass
@@ -147,20 +147,21 @@ def compare_mode_to_samples(predicted: QuadratureMode, sampled: QuadratureMode,
     axes = weighted_axes([sampled, predicted])
     names = axis_names(axes)
     moments = draw_axes(axes, n_shots, seed,
-                        coefficient_matrix([sampled.coeff_plus, sampled.coeff_minus], axes))
+                        coefficient_matrix([sampled.plus, sampled.minus], axes))
     fluct_mean = moments.mean()
     cov = moments.covariance()
     axis_cov = moments.axis_covariance()
     findings = []
     for i, quad in enumerate((PLUS, MINUS)):
-        v_pred = variance(predicted, quad)
+        form = predicted.quad(quad)
+        v_pred = variance(form)
         v_emp = float(cov[i, i])
-        mean_emp = sampled.mean(quad) + float(fluct_mean[i])
+        mean_emp = sampled.quad(quad).mean + float(fluct_mean[i])
         se_mean = math.sqrt(max(v_emp, 1e-30) / n_shots)
-        findings.append(OracleFinding(row, f"mean.{quad}", None, (mean_emp - predicted.mean(quad)) / se_mean))
+        findings.append(OracleFinding(row, f"mean.{quad}", None, (mean_emp - form.mean) / se_mean))
         se_var = max(v_emp, 1e-30) * math.sqrt(2.0 / (n_shots - 1))
         findings.append(OracleFinding(row, f"variance.{quad}", None, (v_emp - v_pred) / se_var))
-        coeffs = predicted.coeffs(quad)
+        coeffs = form.coeffs
         for j, ax in enumerate(axes):
             c = coeffs.get(ax, 0.0)
             est = float(axis_cov[i, j]) / ax.variance

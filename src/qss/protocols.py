@@ -20,9 +20,8 @@ cross-share covariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 from .components import (
     DetectorSpec,
@@ -39,7 +38,7 @@ from .components import (
 from .modes import (
     MINUS,
     PLUS,
-    ClassicalSignal,
+    LinearForm,
     NoiseAxis,
     QuadratureMode,
     axis_names,
@@ -66,23 +65,21 @@ COHERENT_TOL = 1e-9
 class DealerConfig:
     """Squeezing / classical-noise parameters of the dealer protocol.
 
-    Efficiencies map interference points to mode-matching efficiencies;
-    recognised key: ``epr1_in`` (secret x entangled-beam splitter).
-    Unlisted points are ideal.
+    ``eta_epr1_in`` is the mode-matching efficiency of the splitter that
+    interferes the secret with the entangled beam.
     """
 
     v_sq: float = 1.0
     v_anti: float | None = None
     v_n: float = 0.0
-    efficiencies: Mapping[str, float] = field(default_factory=dict)
+    eta_epr1_in: float = 1.0
     secret: QuadratureMode | None = None
 
     def __post_init__(self):
         if self.v_n < 0.0:
             raise ValueError("classical noise variance must be >= 0")
-        for point, eta in self.efficiencies.items():
-            if not 0.0 < eta <= 1.0:
-                raise ValueError(f"efficiency for {point!r} must be in (0, 1]")
+        if not 0.0 < self.eta_epr1_in <= 1.0:
+            raise ValueError(f"eta_epr1_in must be in (0, 1], got {self.eta_epr1_in}")
 
     def make_secret(self) -> QuadratureMode:
         if self.secret is not None:
@@ -125,26 +122,25 @@ class ReconstructionReport:
     @cached_property
     def coefficients(self) -> dict[str, tuple[float, float]]:
         """(X+, X-) coefficients of the output, by unique axis name."""
-        out = self.output
-        return {name: (out.coeff_plus.get(ax, 0.0), out.coeff_minus.get(ax, 0.0))
-                for ax, name in axis_names(mode_axes(out)).items()}
+        cp, cm = self.output.plus.coeffs, self.output.minus.coeffs
+        return {name: (cp.get(ax, 0.0), cm.get(ax, 0.0)) for ax, name in axis_names(mode_axes(self.output)).items()}
 
 
 def secret_gains(secret: QuadratureMode, output: QuadratureMode) -> tuple[float, float]:
     """Optical gains read off the coefficients on the secret's own axes."""
-    sec_p = next(iter(secret.coeff_plus))
-    sec_m = next(iter(secret.coeff_minus))
-    return output.coeff_plus.get(sec_p, 0.0), output.coeff_minus.get(sec_m, 0.0)
+    sec_p = next(iter(secret.plus.coeffs))
+    sec_m = next(iter(secret.minus.coeffs))
+    return output.plus.coeffs.get(sec_p, 0.0), output.minus.coeffs.get(sec_m, 0.0)
 
 
 def make_report(secret: QuadratureMode, output: QuadratureMode) -> ReconstructionReport:
     """The moments of ``output`` relative to ``secret``, which must be
     coherent: the metrics assume a secret of vacuum statistics."""
-    for q in (PLUS, MINUS):
-        if abs(variance(secret, q) - 1.0) > COHERENT_TOL:
+    for form in (secret.plus, secret.minus):
+        if abs(variance(form) - 1.0) > COHERENT_TOL:
             raise ValueError("fidelity is defined here for coherent (vacuum-statistics) secrets only")
     g_p, g_m = secret_gains(secret, output)
-    return ReconstructionReport(g_p, g_m, variance(output, PLUS), variance(output, MINUS), output, secret)
+    return ReconstructionReport(g_p, g_m, variance(output.plus), variance(output.minus), output, secret)
 
 
 def dealer_encode(cfg: DealerConfig) -> ShareSet:
@@ -153,18 +149,17 @@ def dealer_encode(cfg: DealerConfig) -> ShareSet:
     sqz2 = new_squeezed(cfg.v_sq, cfg.v_anti, PLUS, "sqz2")
     epr1, epr2 = beam_splitter(sqz1, sqz2, 0.5)
 
-    eta_in = cfg.efficiencies.get("epr1_in", 1.0)
     noise_p = classical_axis(cfg.v_n, "N.plus")
     noise_m = classical_axis(cfg.v_n, "N.minus")
-    n_plus = ClassicalSignal(0.0, {noise_p: 1.0})
-    n_minus = ClassicalSignal(0.0, {noise_m: 1.0})
+    n_plus = LinearForm(0.0, {noise_p: 1.0})
+    n_minus = LinearForm(0.0, {noise_m: 1.0})
 
     s = 1.0 / math.sqrt(2.0)
     out1, out2 = beam_splitter(secret, epr1, 0.5)
-    if eta_in < 1.0:
+    if cfg.eta_epr1_in < 1.0:
         # Mode mismatch at the encoding beam splitter degrades both outputs.
-        out1 = loss(out1, eta_in, "mm_epr1_in")
-        out2 = loss(out2, eta_in, "mm_epr1_in")
+        out1 = loss(out1, cfg.eta_epr1_in, "mm_epr1_in")
+        out2 = loss(out2, cfg.eta_epr1_in, "mm_epr1_in")
     share1 = _add_noise(out1, n_plus, n_minus, s, s)
     share2 = _add_noise(out2, n_plus, n_minus, -s, -s)
     share3 = _add_noise(epr2, n_plus, n_minus, 1.0, -1.0)
@@ -181,7 +176,7 @@ def dealer_encode(cfg: DealerConfig) -> ShareSet:
     return ShareSet(share1, share2, share3, secret, tags)
 
 
-def _add_noise(mode: QuadratureMode, n_plus: ClassicalSignal, n_minus: ClassicalSignal, k_plus: float, k_minus: float) -> QuadratureMode:
+def _add_noise(mode: QuadratureMode, n_plus: LinearForm, n_minus: LinearForm, k_plus: float, k_minus: float) -> QuadratureMode:
     out = displace(mode, PLUS, n_plus, k_plus)
     return displace(out, MINUS, n_minus, k_minus)
 
@@ -195,7 +190,7 @@ def orient_share3(share_a: QuadratureMode, share3: QuadratureMode) -> Quadrature
     discriminator is the difference of the quadrature covariances, which
     does not cancel for a pure entangled pair.
     """
-    c = covariance(share_a, PLUS, share3, PLUS) - covariance(share_a, MINUS, share3, MINUS)
+    c = covariance(share_a.plus, share3.plus) - covariance(share_a.minus, share3.minus)
     if c < 0.0:
         return phase_shift(share3, math.pi)
     return share3

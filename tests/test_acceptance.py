@@ -30,12 +30,11 @@ from qss.metrics import duan_inseparability, metrics_report, reid_epr
 from qss.modes import (
     MINUS,
     PLUS,
-    commutator_weight,
+    commutator,
     db_to_linear,
     new_coherent,
     new_squeezed,
     new_vacuum,
-    variance,
 )
 from qss.protocols import (
     DealerConfig,
@@ -238,16 +237,22 @@ def test_criterion_7_oracle_equivalence():
 
 
 def test_criterion_8_symplectic_suite():
+    # The joint symplectic condition: over every live output, including
+    # the discarded splitter ports, [X+, X-] is 1 within a mode and every
+    # commutator across modes is 0.
     start = time.perf_counter()
     rng = random.Random(99)
     worst = 0.0
+    n_live = 0
     for _ in range(1000):
         pool = [new_vacuum(), new_squeezed(rng.uniform(0.1, 1.0)), new_coherent(rng.uniform(-3, 3), rng.uniform(-3, 3))]
         mode = pool[rng.randrange(3)]
+        dropped = []
         for _ in range(rng.randint(1, 4)):
             op = rng.randrange(5)
             if op == 0:
-                mode, _ = beam_splitter(mode, new_vacuum(), rng.uniform(0.0, 1.0))
+                mode, port = beam_splitter(mode, new_vacuum(), rng.uniform(0.0, 1.0))
+                dropped.append(port)
             elif op == 1:
                 mode = phase_shift(mode, rng.uniform(0.0, 2.0 * math.pi))
             elif op == 2:
@@ -257,11 +262,17 @@ def test_criterion_8_symplectic_suite():
             else:
                 sig = homodyne(loss(new_vacuum(), 0.9), PLUS)
                 mode = displace(mode, PLUS, sig, rng.uniform(-2.0, 2.0))
-        worst = max(worst, abs(commutator_weight(mode) - 1.0))
+        live = [mode, *dropped]
+        n_live += len(live)
+        for (i, a), (j, b) in itertools.product(enumerate(live), repeat=2):
+            same = float(i == j)
+            for x, y, canonical in ((a.plus, b.plus, 0.0), (a.plus, b.minus, same),
+                                    (a.minus, b.plus, -same), (a.minus, b.minus, 0.0)):
+                worst = max(worst, abs(commutator(x, y) - canonical))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 5.0
     report(8, "symplectic composition suite", ok,
-           f"max |W-1| {worst:.2e} over 1000 compositions, {elapsed:.2f}s")
+           f"max |[a, b] - J_ab| {worst:.2e} over {n_live} live outputs of 1000 compositions, {elapsed:.2f}s")
 
 
 def test_criterion_9_adversary_security_trend():

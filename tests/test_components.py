@@ -19,12 +19,12 @@ from qss.components import (
 from qss.modes import (
     MINUS,
     PLUS,
+    commutator,
     commutator_weight,
     covariance,
     new_coherent,
     new_squeezed,
     new_vacuum,
-    signal_variance,
     variance,
 )
 
@@ -43,9 +43,9 @@ def test_beam_splitter_is_involutive():
     a2, b2 = beam_splitter(c, d, 0.3)
     for orig, back in ((a, a2), (b, b2)):
         for q in (PLUS, MINUS):
-            assert back.mean(q) == pytest.approx(orig.mean(q), abs=1e-12)
-            assert variance(back, q) == pytest.approx(variance(orig, q), abs=1e-12)
-            assert covariance(back, q, orig, q) == pytest.approx(variance(orig, q), abs=1e-12)
+            assert back.quad(q).mean == pytest.approx(orig.quad(q).mean, abs=1e-12)
+            assert variance(back.quad(q)) == pytest.approx(variance(orig.quad(q)), abs=1e-12)
+            assert covariance(back.quad(q), orig.quad(q)) == pytest.approx(variance(orig.quad(q)), abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -53,25 +53,40 @@ def test_beam_splitter_is_involutive():
 def test_beam_splitter_outputs_uncorrelated_for_vacua(r):
     c, d = beam_splitter(new_vacuum(), new_vacuum(), r)
     for q in (PLUS, MINUS):
-        assert abs(covariance(c, q, d, q)) < 1e-12
-        assert variance(c, q) == pytest.approx(1.0, abs=1e-12)
+        assert abs(covariance(c.quad(q), d.quad(q))) < 1e-12
+        assert variance(c.quad(q)) == pytest.approx(1.0, abs=1e-12)
     assert abs(commutator_weight(c) - 1.0) < 1e-12
     assert abs(commutator_weight(d) - 1.0) < 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(r=st.floats(0.0, 1.0), phi_a=st.floats(0.0, 2.0 * math.pi), phi_b=st.floats(0.0, 2.0 * math.pi))
+def test_beam_splitter_outputs_commute(r, phi_a, phi_b):
+    # The joint symplectic condition: distinct outputs commute on all
+    # four cross pairs, which the per-mode weight alone cannot see.
+    a = phase_shift(new_squeezed(0.3, label="a"), phi_a)
+    b = phase_shift(new_coherent(1.0, -2.0, "b"), phi_b)
+    c, d = beam_splitter(a, b, r)
+    for x in (c.plus, c.minus):
+        for y in (d.plus, d.minus):
+            assert abs(commutator(x, y)) < 1e-12
+    for m in (c, d):
+        assert abs(commutator_weight(m) - 1.0) < 1e-12
 
 
 def test_phase_shift_pi_flips_sign():
     m = new_coherent(1.0, 2.0)
     f = phase_shift(m, math.pi)
-    assert f.mean_plus == pytest.approx(-1.0)
-    assert f.mean_minus == pytest.approx(-2.0)
-    assert covariance(f, PLUS, m, PLUS) == pytest.approx(-1.0, abs=1e-12)
+    assert f.plus.mean == pytest.approx(-1.0)
+    assert f.minus.mean == pytest.approx(-2.0)
+    assert covariance(f.plus, m.plus) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_phase_shift_quarter_swaps_quadratures():
     s = new_squeezed(0.25)
     f = phase_shift(s, math.pi / 2.0)
-    assert variance(f, PLUS) == pytest.approx(variance(s, MINUS), abs=1e-12)
-    assert variance(f, MINUS) == pytest.approx(variance(s, PLUS), abs=1e-12)
+    assert variance(f.plus) == pytest.approx(variance(s.minus), abs=1e-12)
+    assert variance(f.minus) == pytest.approx(variance(s.plus), abs=1e-12)
     assert abs(commutator_weight(f) - 1.0) < 1e-12
 
 
@@ -80,10 +95,10 @@ def test_epr_pair_cross_correlations():
     e1, e2 = epr_pair(new_squeezed(v_sq, None, MINUS), new_squeezed(v_sq, None, PLUS))
     v_sym = (v_sq + 1.0 / v_sq) / 2.0
     for q in (PLUS, MINUS):
-        assert variance(e1, q) == pytest.approx(v_sym, abs=1e-12)
+        assert variance(e1.quad(q)) == pytest.approx(v_sym, abs=1e-12)
     expect = (1.0 / v_sq - v_sq) / 2.0
-    assert covariance(e1, PLUS, e2, PLUS) == pytest.approx(expect, abs=1e-12)
-    assert covariance(e1, MINUS, e2, MINUS) == pytest.approx(-expect, abs=1e-12)
+    assert covariance(e1.plus, e2.plus) == pytest.approx(expect, abs=1e-12)
+    assert covariance(e1.minus, e2.minus) == pytest.approx(-expect, abs=1e-12)
 
 
 def test_phase_insensitive_amp():
@@ -91,9 +106,9 @@ def test_phase_insensitive_amp():
         phase_insensitive_amp(new_vacuum(), new_vacuum(), 0.5)
     m = new_coherent(1.0, 1.0)
     out = phase_insensitive_amp(m, new_vacuum(), 4.0)
-    assert out.mean_plus == pytest.approx(2.0)
+    assert out.plus.mean == pytest.approx(2.0)
     for q in (PLUS, MINUS):
-        assert variance(out, q) == pytest.approx(4.0 + 3.0, abs=1e-12)
+        assert variance(out.quad(q)) == pytest.approx(4.0 + 3.0, abs=1e-12)
     assert abs(commutator_weight(out) - 1.0) < 1e-12
 
 
@@ -103,17 +118,17 @@ def test_phase_insensitive_amp_saturates_added_noise_bound():
     gain = 3.0
     out = phase_insensitive_amp(new_coherent(1.0, 1.0), new_vacuum(), gain)
     g2 = gain
-    v_added = [(variance(out, q) - g2) / g2 for q in (PLUS, MINUS)]
+    v_added = [(variance(form) - g2) / g2 for form in (out.plus, out.minus)]
     assert v_added[0] * v_added[1] == pytest.approx(((g2 - 1.0) / g2) ** 2, abs=1e-12)
 
 
 def test_phase_sensitive_amp_is_noiseless_squeezer():
     m = new_coherent(2.0, 2.0)
     out = phase_sensitive_amp(m, 4.0)
-    assert out.mean_plus == pytest.approx(4.0)
-    assert out.mean_minus == pytest.approx(1.0)
-    assert variance(out, PLUS) == pytest.approx(4.0)
-    assert variance(out, MINUS) == pytest.approx(0.25)
+    assert out.plus.mean == pytest.approx(4.0)
+    assert out.minus.mean == pytest.approx(1.0)
+    assert variance(out.plus) == pytest.approx(4.0)
+    assert variance(out.minus) == pytest.approx(0.25)
     assert abs(commutator_weight(out) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         phase_sensitive_amp(m, 0.0)
@@ -122,9 +137,9 @@ def test_phase_sensitive_amp_is_noiseless_squeezer():
 def test_loss_admixes_vacuum():
     m = new_coherent(2.0, 0.0)
     out = loss(m, 0.99)
-    assert out.mean_plus == pytest.approx(2.0 * math.sqrt(0.99))
-    assert covariance(out, PLUS, m, PLUS) == pytest.approx(math.sqrt(0.99), abs=1e-12)
-    assert variance(out, PLUS) == pytest.approx(1.0, abs=1e-12)
+    assert out.plus.mean == pytest.approx(2.0 * math.sqrt(0.99))
+    assert covariance(out.plus, m.plus) == pytest.approx(math.sqrt(0.99), abs=1e-12)
+    assert variance(out.plus) == pytest.approx(1.0, abs=1e-12)
     assert loss(m, 1.0) is m
     with pytest.raises(ValueError):
         loss(m, 1.2)
@@ -134,7 +149,7 @@ def test_homodyne_consumes_mode():
     m = new_coherent(3.0, 0.0)
     sig = homodyne(m, PLUS)
     assert sig.mean == pytest.approx(3.0)
-    assert signal_variance(sig) == pytest.approx(1.0)
+    assert variance(sig) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         homodyne(m, PLUS)
 
@@ -144,17 +159,17 @@ def test_homodyne_inefficiency_and_dark_noise():
     sig = homodyne(new_coherent(2.0, 0.0), PLUS, det)
     assert sig.mean == pytest.approx(2.0 * math.sqrt(0.9))
     # 0.9 signal + 0.1 vacuum + dark
-    assert signal_variance(sig) == pytest.approx(0.9 + 0.1 + 0.05, abs=1e-12)
+    assert variance(sig) == pytest.approx(0.9 + 0.1 + 0.05, abs=1e-12)
 
 
 def test_displace_only_touches_chosen_quadrature():
     target = new_vacuum()
     sig = homodyne(new_coherent(1.0, 0.0), PLUS)
     out = displace(target, PLUS, sig, 0.5)
-    assert out.mean_plus == pytest.approx(0.5)
-    assert out.mean_minus == 0.0
-    assert variance(out, PLUS) == pytest.approx(1.0 + 0.25, abs=1e-12)
-    assert variance(out, MINUS) == pytest.approx(1.0, abs=1e-12)
+    assert out.plus.mean == pytest.approx(0.5)
+    assert out.minus is target.minus
+    assert variance(out.plus) == pytest.approx(1.0 + 0.25, abs=1e-12)
+    assert variance(out.minus) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lo_displace_attenuates_carrier():
@@ -162,7 +177,7 @@ def test_lo_displace_attenuates_carrier():
     target = new_coherent(1.0, 0.0)
     sig = homodyne(new_coherent(0.0, 0.0), PLUS)
     out = lo_displace(target, PLUS, sig, 1.0, r)
-    assert covariance(out, PLUS, target, PLUS) == pytest.approx(math.sqrt(r), abs=1e-12)
+    assert covariance(out.plus, target.plus) == pytest.approx(math.sqrt(r), abs=1e-12)
     assert abs(commutator_weight(out) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         lo_displace(target, PLUS, sig, 1.0, 1.0)

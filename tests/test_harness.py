@@ -20,7 +20,7 @@ from qss.harness import (
     rows_to_csv,
     run,
 )
-from qss.modes import QuadratureMode, mode_axes
+from qss.modes import LinearForm, QuadratureMode, mode_axes
 from qss.oracle import CHUNK_SHOTS
 from qss.protocols import make_report
 
@@ -77,6 +77,17 @@ def test_config_sweep_requires_bounds():
         config_from_mapping({"sweep.gain.start": 0.0})
     cfg = config_from_mapping({"sweep.gain.start": 0.0, "sweep.gain.stop": 2.0, "sweep.gain.steps": 3})
     assert cfg.sweep_gain.values() == [0.0, 1.0, 2.0]
+    cfg = config_from_mapping({"sweep.gain.start": 0.0, "sweep.gain.stop": 2.0})
+    assert cfg.sweep_gain.steps == SweepAxis(0.0, 2.0).steps
+
+
+def test_integer_keys_accept_integral_floats():
+    cfg = config_from_mapping({**parse_config_text("oracle.shots = 1e6\nprotocol.player = 1.0"),
+                               "oracle.seed": 7.0, "oracle.rows": 2,
+                               "sweep.v_n.start": 0, "sweep.v_n.stop": 1, "sweep.v_n.steps": 3.0})
+    got = (cfg.shots, cfg.player, cfg.seed, cfg.oracle_rows, cfg.sweep_v_n.steps)
+    assert got == (1_000_000, 1, 7, 2, 3)
+    assert all(type(v) is int for v in got)
 
 
 def test_config_validation():
@@ -220,10 +231,9 @@ def test_oracle_localises_corrupted_coefficient():
     pipe = build_pipeline(cfg, None, None, None)
     honest = pipe.raw
     sqz = next(ax for ax in mode_axes(honest) if ax.label == "sqz2.plus")
-    corrupted_coeffs = dict(honest.coeff_plus)
+    corrupted_coeffs = dict(honest.plus.coeffs)
     corrupted_coeffs[sqz] = corrupted_coeffs.get(sqz, 0.0) + 0.2
-    corrupted = QuadratureMode(
-        honest.mean_plus, honest.mean_minus, corrupted_coeffs, honest.coeff_minus)
+    corrupted = QuadratureMode(LinearForm(honest.plus.mean, corrupted_coeffs), honest.minus)
     findings = compare_mode_to_samples(corrupted, honest, 200_000, seed=11)
     bad = [f for f in findings if abs(f.z) >= 5.0]
     assert bad
@@ -402,5 +412,28 @@ def test_cli_efficiency_outside_unit_interval_exit_code(tmp_path, capsys, key, e
 def test_cli_invalid_dealer_config_exit_code(tmp_path, capsys, lines, message):
     cfg = tmp_path / "dealer.cfg"
     cfg.write_text(f"protocol.name = mz\n{lines}\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+
+
+_SWEEP = '"sweep.gain.start": 0, "sweep.gain.stop": 1'
+
+
+@pytest.mark.parametrize("text, message", [
+    ("protocol.player = 1.9", "protocol.player: expected an integer, got 1.9"),
+    ('{"protocol.player": 1.9}', "protocol.player: expected an integer, got 1.9"),
+    ('{"protocol.player": "two"}', "protocol.player: expected an integer, got 'two'"),
+    ("protocol.player = two", "protocol.player: expected an integer, got 'two'"),
+    ('{"protocol.player": true}', "protocol.player: expected an integer, got True"),
+    ("oracle.shots = 1e6.5", "oracle.shots: expected an integer, got '1e6.5'"),
+    ('{"oracle.seed": 1.5}', "oracle.seed: expected an integer, got 1.5"),
+    ('{"oracle.rows": null}', "oracle.rows: expected an integer, got None"),
+    ('{%s, "sweep.gain.steps": 2.7}' % _SWEEP, "sweep.gain.steps: expected an integer, got 2.7"),
+    ('{%s, "sweep.gain.steps": "5"}' % _SWEEP, "sweep.gain.steps: expected an integer, got '5'"),
+])
+def test_cli_non_integer_count_exit_code(tmp_path, capsys, text, message):
+    # A count that is not an integer used to be truncated or to end in a traceback.
+    cfg = tmp_path / "count.cfg"
+    cfg.write_text(text + "\n")
     assert cli.main(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]

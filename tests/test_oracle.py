@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from qss import oracle
+from qss.components import displace
 from qss.modes import (
-    ClassicalSignal,
+    MINUS,
+    PLUS,
+    LinearForm,
     classical_axis,
     linear_combine,
     mode_axes,
@@ -33,7 +36,7 @@ def test_monte_carlo_covariance():
     y = linear_combine([(0.5, 0.5, a)])
     axes = weighted_axes([x, y])
     n = 100_000
-    cov = draw_axes(axes, n, 3, coefficient_matrix([x.coeff_plus, y.coeff_plus], axes)).covariance()
+    cov = draw_axes(axes, n, 3, coefficient_matrix([x.plus, y.plus], axes)).covariance()
     se = math.sqrt((cov[0, 0] * cov[1, 1] + cov[0, 1] ** 2) / (n - 1))
     assert abs(cov[0, 1] - 0.5) < 5 * se
 
@@ -41,7 +44,7 @@ def test_monte_carlo_covariance():
 def test_monte_carlo_deterministic():
     m = new_coherent(1.0, 1.0)
     axes = weighted_axes([m])
-    coeffs = coefficient_matrix([m.coeff_plus, m.coeff_minus], axes)
+    coeffs = coefficient_matrix([m.plus, m.minus], axes)
     s1, s2 = draw_axes(axes, 1000, 42, coeffs), draw_axes(axes, 1000, 42, coeffs)
     for field in ("sum_x", "xx", "xd", "sum_d"):
         assert np.array_equal(getattr(s1, field), getattr(s2, field))
@@ -55,8 +58,9 @@ def _sampled_network():
     b = new_squeezed(0.4, label="b")
     idle = new_vacuum("idle")
     silent = classical_axis(0.0, "silent")
-    noise = ClassicalSignal(0.0, {silent: 1.0})
-    m = linear_combine([(0.6, 0.6, a), (0.8, -0.8, b), (0.3, 0.3, idle), (-0.3, -0.3, idle), (1.0, 1.0, noise)])
+    noise = LinearForm(0.0, {silent: 1.0})
+    m = linear_combine([(0.6, 0.6, a), (0.8, -0.8, b), (0.3, 0.3, idle), (-0.3, -0.3, idle)])
+    m = displace(displace(m, PLUS, noise, 1.0), MINUS, noise, 1.0)
     return m, linear_combine([(0.5, 0.5, a)])
 
 
@@ -64,7 +68,7 @@ def _sampled_network():
 def test_draw_axes_moments_match_regenerated_chunks(n_shots):
     m1, m2 = _sampled_network()
     axes = weighted_axes([m1, m2])
-    coeffs = coefficient_matrix([m1.coeff_plus, m1.coeff_minus, m2.coeff_plus], axes)
+    coeffs = coefficient_matrix([m1.plus, m1.minus, m2.plus], axes)
     got = draw_axes(axes, n_shots, 5, coeffs)
 
     sizes = [min(CHUNK_SHOTS, n_shots - s) for s in range(0, n_shots, CHUNK_SHOTS)]
@@ -80,9 +84,10 @@ def test_draw_axes_moments_match_regenerated_chunks(n_shots):
 
 def test_only_weighted_axes_are_drawn():
     # The zero-variance classical axis keeps its key but adds no variance.
+    # Axes come in order of first appearance: X+ keys, then X- keys.
     m1, m2 = _sampled_network()
-    assert [ax.label for ax in mode_axes(m1)] == ["a.plus", "a.minus", "b.plus", "b.minus", "silent"]
-    assert [ax.label for ax in weighted_axes([m1, m2])] == ["a.plus", "a.minus", "b.plus", "b.minus"]
+    assert [ax.label for ax in mode_axes(m1)] == ["a.plus", "b.plus", "silent", "a.minus", "b.minus"]
+    assert [ax.label for ax in weighted_axes([m1, m2])] == ["a.plus", "b.plus", "a.minus", "b.minus"]
 
 
 def test_worker_count_capped_by_cpus_and_chunks(monkeypatch):
@@ -96,7 +101,7 @@ def test_worker_count_capped_by_cpus_and_chunks(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
     m1, _ = _sampled_network()
     axes = weighted_axes([m1])
-    coeffs = coefficient_matrix([m1.coeff_plus], axes)
+    coeffs = coefficient_matrix([m1.plus], axes)
     for cpus, n_shots in ((8, 3 * CHUNK_SHOTS), (2, 3 * CHUNK_SHOTS), (8, CHUNK_SHOTS)):
         monkeypatch.setattr(oracle, "_usable_cpus", lambda cpus=cpus: cpus)
         draw_axes(axes, n_shots, 1, coeffs)

@@ -6,9 +6,8 @@ import pytest
 from qss.components import phase_shift
 from qss.metrics import metrics_report
 from qss.modes import (
-    MINUS,
-    PLUS,
     NoiseAxis,
+    commutator,
     commutator_weight,
     covariance,
     mode_axes,
@@ -57,23 +56,43 @@ def single_ff_gain_map(reflectivity: float, g_elec: float) -> tuple[float, float
 def test_share_means_and_variances():
     shares = encode()
     s = 1.0 / math.sqrt(2.0)
-    assert shares.share1.mean_plus == pytest.approx(5.0 * s)
-    assert shares.share2.mean_plus == pytest.approx(5.0 * s)
-    assert shares.share3.mean_plus == 0.0
+    assert shares.share1.plus.mean == pytest.approx(5.0 * s)
+    assert shares.share2.plus.mean == pytest.approx(5.0 * s)
+    assert shares.share3.plus.mean == 0.0
     # share_i = (secret +/- entangled arm +/- noise)/sqrt(2)
     v_epr = (V_SQ + 1.0 / V_SQ) / 2.0
     expect = (1.0 + v_epr + V_N) / 2.0
     for share in (shares.share1, shares.share2):
-        for q in (PLUS, MINUS):
-            assert variance(share, q) == pytest.approx(expect, rel=1e-9)
-    for q in (PLUS, MINUS):
-        assert variance(shares.share3, q) == pytest.approx(v_epr + V_N, rel=1e-9)
+        for form in (share.plus, share.minus):
+            assert variance(form) == pytest.approx(expect, rel=1e-9)
+    for form in (shares.share3.plus, shares.share3.minus):
+        assert variance(form) == pytest.approx(v_epr + V_N, rel=1e-9)
+
+
+def test_encoding_mode_mismatch():
+    # eta_epr1_in is the one efficiency of the dealer, applied to both
+    # outputs of the encoding splitter.
+    shares = encode(eta_epr1_in=0.5)
+    g_share = secret_gains(shares.secret, shares.share1)
+    assert g_share == pytest.approx((0.5, 0.5), abs=1e-12)
+    assert any(ax.label.startswith("mm_epr1_in") for ax in mode_axes(shares.share2))
+    for eta in (0.0, 1.5):
+        with pytest.raises(ValueError):
+            DealerConfig(eta_epr1_in=eta)
+    with pytest.raises(TypeError):
+        DealerConfig(efficiencies={"epr1": 0.5})
 
 
 def test_shares_are_physical():
     shares = encode()
     for k in (1, 2, 3):
         assert abs(commutator_weight(shares.share(k)) - 1.0) < 1e-12
+    # distinct shares commute: the classical noise carries no commutator
+    for j, k in ((1, 2), (1, 3), (2, 3)):
+        a, b = shares.share(j), shares.share(k)
+        for x in (a.plus, a.minus):
+            for y in (b.plus, b.minus):
+                assert abs(commutator(x, y)) < 1e-12
 
 
 def test_axis_tags_cover_everything():
@@ -90,7 +109,7 @@ def test_orientation_flips_for_share2_only():
     assert orient_share3(shares.share1, shares.share3) is shares.share3
     flipped = orient_share3(shares.share2, shares.share3)
     assert flipped is not shares.share3
-    assert covariance(flipped, PLUS, shares.share3, PLUS) < 0.0
+    assert covariance(flipped.plus, shares.share3.plus) < 0.0
     # idempotent on an already-flipped input
     again = orient_share3(shares.share2, flipped)
     assert again is flipped
@@ -222,7 +241,7 @@ def test_adversary_amplified_saturates_classical_bound():
     out = adversary_amplified(shares, 1)
     g_p, g_m = secret_gains(shares.secret, out)
     assert g_p == pytest.approx(1.0, abs=1e-12)
-    assert variance(out, PLUS) == pytest.approx(3.0, abs=1e-12)
+    assert variance(out.plus) == pytest.approx(3.0, abs=1e-12)
     f = metrics_report(make_report(shares.secret, out)).fidelity
     assert f == pytest.approx(0.5, abs=1e-12)
     f_max, _, _ = classical_bounds(g_p, g_m)
