@@ -101,9 +101,8 @@ def _cmd_run(args) -> int:
         _write(args, harness.result_to_json(result))
     else:
         _write(args, harness.rows_to_csv(result.columns, result.rows))
-    for i, row in enumerate(result.rows):
-        if row.get("error"):
-            print(f"row {i}: {row['error']}", file=sys.stderr)
+    for i, error in sorted(result.errors.items()):
+        print(f"row {i}: {error}", file=sys.stderr)
     for key, value in sorted(result.summary.items()):
         print(f"{key}: {value}", file=sys.stderr)
     if result.summary.get("classical_mode") and result.bound_violations():

@@ -8,6 +8,10 @@ Sign convention for every beam splitter:
 All interference phase choices are expressed through explicit
 :func:`phase_shift` calls on the inputs, so noise-cancellation sign
 errors stay testable.  An "x:y" splitter has reflectivity x/(x+y).
+
+A knob may be a float or an array with one entry per row of a batch.
+A guard on such a knob raises :class:`RowError`, which names the rows
+that fail it and gives each the message it would raise alone.
 """
 
 from __future__ import annotations
@@ -15,7 +19,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .modes import PLUS, LinearForm, QuadratureMode, classical_axis, combine, linear_combine, new_vacuum
+
+
+class RowError(ValueError):
+    """A guard failed on some rows: ``mask`` marks them (a bool for float
+    knobs) and ``messages`` holds each one's message, in row order."""
+
+    def __init__(self, mask, messages: list[str]):
+        super().__init__(messages[0])
+        self.mask = mask
+        self.messages = messages
+
+
+def reject(bad, message: str, *values):
+    """Raise :class:`RowError` on the rows where ``bad`` holds, each with
+    ``message.format(*values)`` at that row's values."""
+    if np.any(bad):
+        cols = [np.broadcast_to(v, np.shape(bad))[bad].tolist() for v in values]
+        raise RowError(bad, [message.format(*(col[i] for col in cols)) for i in range(np.count_nonzero(bad))])
+
+
+def _sqrt(x):
+    """Square root of a float, or of an array elementwise; both correctly rounded."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 @dataclass(frozen=True)
@@ -34,10 +63,10 @@ IDEAL_DETECTOR = DetectorSpec()
 
 
 def beam_splitter(a: QuadratureMode, b: QuadratureMode, reflectivity: float):
-    if not 0.0 <= reflectivity <= 1.0:
-        raise ValueError(f"reflectivity must be in [0, 1], got {reflectivity}")
-    r = math.sqrt(reflectivity)
-    t = math.sqrt(1.0 - reflectivity)
+    reject(np.logical_not((0.0 <= reflectivity) & (reflectivity <= 1.0)),
+           "reflectivity must be in [0, 1], got {}", reflectivity)
+    r = _sqrt(reflectivity)
+    t = _sqrt(1.0 - reflectivity)
     c = linear_combine([(r, r, a), (t, t, b)])
     d = linear_combine([(t, t, a), (-r, -r, b)])
     return c, d
@@ -61,18 +90,16 @@ def epr_pair(sqz1: QuadratureMode, sqz2: QuadratureMode):
 
 def phase_insensitive_amp(mode: QuadratureMode, idler: QuadratureMode, gain: float) -> QuadratureMode:
     """X+ -> sqrt(G) X+ - sqrt(G-1) X+_idler, X- -> sqrt(G) X- + sqrt(G-1) X-_idler."""
-    if gain < 1.0:
-        raise ValueError(f"phase-insensitive gain must be >= 1, got {gain}")
-    g = math.sqrt(gain)
-    h = math.sqrt(gain - 1.0)
+    reject(gain < 1.0, "phase-insensitive gain must be >= 1, got {}", gain)
+    g = _sqrt(gain)
+    h = _sqrt(gain - 1.0)
     return linear_combine([(g, g, mode), (-h, h, idler)])
 
 
 def phase_sensitive_amp(mode: QuadratureMode, gain: float) -> QuadratureMode:
     """Noiseless amplification: X+ -> sqrt(G) X+, X- -> X-/sqrt(G)."""
-    if gain <= 0.0:
-        raise ValueError(f"phase-sensitive gain must be > 0, got {gain}")
-    g = math.sqrt(gain)
+    reject(gain <= 0.0, "phase-sensitive gain must be > 0, got {}", gain)
+    g = _sqrt(gain)
     return linear_combine([(g, 1.0 / g, mode)])
 
 
@@ -96,9 +123,9 @@ def homodyne(mode: QuadratureMode, quadrature: str, det: DetectorSpec = IDEAL_DE
     mode.require_live()
     mode.consumed = True
     eta = det.efficiency
-    terms = [(math.sqrt(eta), mode.quad(quadrature))]
+    terms = [(_sqrt(eta), mode.quad(quadrature))]
     if eta < 1.0:
-        terms.append((math.sqrt(1.0 - eta), new_vacuum("hd_vac").quad(quadrature)))
+        terms.append((_sqrt(1.0 - eta), new_vacuum("hd_vac").quad(quadrature)))
     if det.dark_noise_variance > 0.0:
         terms.append((1.0, LinearForm(0.0, {classical_axis(det.dark_noise_variance, "dark"): 1.0})))
     return combine(terms)

@@ -6,6 +6,12 @@ selected rows against the Monte Carlo oracle of :mod:`qss.oracle`.
 Each protocol is built by one entry of a ``{name: builder}`` table; the
 ``summary`` protocol has none and is dispatched in :func:`run`.
 
+A sweep is one dealer and one protocol build, with reflectivity, gain
+and v_n as arrays of the grid's rows (floats for a one-row grid), and
+its results stay columns (:class:`RunResult`) until they are written.
+Rows a guard rejects fail with the message each would give alone, and
+the rest are built again.  :func:`build_pipeline` builds one row.
+
 Configs are flat dotted-key text files (``dealer.v_sq_db = -4.5``) or
 JSON objects with the same keys.  Identical config + seed produces a
 byte-identical CSV.
@@ -16,12 +22,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import metrics
-from .components import DetectorSpec
+from .components import DetectorSpec, RowError
 from .modes import QuadratureMode, db_to_linear, new_coherent
 from .oracle import ORACLE_Z_LIMIT, OracleFinding, compare_mode_to_samples
 from .protocols import (
@@ -34,8 +41,8 @@ from .protocols import (
     UNITY_TWO_OPA_GAIN,
     DealerConfig,
     classical_avg_fidelity,
-    classical_bounds,
     dealer_encode,
+    classical_bounds,
     make_report,
     parametric_correction,
     reconstruct_double_ff,
@@ -91,8 +98,6 @@ class SweepAxis:
     def values(self) -> list[float]:
         if self.steps < 1:
             raise ConfigError("sweep steps must be >= 1")
-        if self.steps == 1:
-            return [self.start]
         return list(np.linspace(self.start, self.stop, self.steps))
 
 
@@ -391,67 +396,104 @@ def build_pipeline(cfg: ExperimentConfig, reflectivity: float | None, gain: floa
 
 @dataclass
 class RunResult:
+    """A sweep's output as columns: ``data`` holds one array per CSV
+    column, with one entry per row, and ``errors`` the reason of each
+    failed row, by row index."""
+
     columns: list[str]
-    rows: list[dict]
+    data: dict[str, np.ndarray]
     summary: dict
+    errors: dict[int, str] = field(default_factory=dict)
+
+    @property
+    def rows(self) -> Rows:
+        return Rows(self)
 
     def bound_violations(self) -> list[dict]:
-        out = []
-        for row in self.rows:
-            if row.get("error"):
-                continue
-            if (
-                row["fidelity_unity"] > row["f_classical_max"] + BOUND_TOL
-                or row["signal_transfer"] > row["t_classical_max"] + BOUND_TOL
-                or row["added_noise"] < row["v_classical_min"] - BOUND_TOL
-            ):
-                out.append(row)
-        return out
+        return [self.rows[i] for i in np.flatnonzero(_beyond_bounds(self.data))]
 
 
-def _grid(cfg: ExperimentConfig):
-    r_values = cfg.sweep_reflectivity.values() if cfg.sweep_reflectivity else [None]
-    g_values = cfg.sweep_gain.values() if cfg.sweep_gain else [None]
-    n_values = cfg.sweep_v_n.values() if cfg.sweep_v_n else [None]
-    for r in r_values:
-        for g in g_values:
-            for n in n_values:
-                yield r, g, n
+class Rows(Sequence):
+    """The rows of a :class:`RunResult`, read-only.  Each row is made on
+    access: a dict of its cells, plus ``error`` on a failed row."""
 
+    def __init__(self, result: RunResult):
+        self._result = result
 
-def _evaluate_row(cfg: ExperimentConfig, r, g, n) -> dict:
-    pipe = build_pipeline(cfg, r, g, n)
-    row = {c: float("nan") for c in CSV_COLUMNS}
-    row.update(protocol=cfg.protocol, reflectivity=pipe.reflectivity, gain=pipe.gain, v_n=pipe.v_n,
-               oracle_max_z=None)
-    if pipe.error:
-        row["error"] = pipe.error
+    def __len__(self) -> int:
+        return len(self._result.data[self._result.columns[0]])
+
+    def __getitem__(self, i: int) -> dict:
+        i = range(len(self))[i]
+        return self._row(i, [self._result.data[c].item(i) for c in self._result.columns])
+
+    def __iter__(self):
+        cells = zip(*(self._result.data[c].tolist() for c in self._result.columns))
+        return (self._row(i, values) for i, values in enumerate(cells))
+
+    def _row(self, i: int, values) -> dict:
+        row = dict(zip(self._result.columns, values))
+        if i in self._result.errors:
+            row["error"] = self._result.errors[i]
         return row
-    # Fidelity and conditional variances refer to the delivered
-    # (corrected) state; gains and the classical bounds refer to the raw
-    # protocol output, since the per-quadrature transfer bound assumes no
-    # local squeezing after reconstruction (T itself is invariant under
-    # the correction, so the comparison stays consistent).
-    raw = make_report(pipe.secret, pipe.raw)
-    rep = metrics.metrics_report(raw if pipe.corrected is pipe.raw else make_report(pipe.secret, pipe.corrected))
-    f_max, t_max, v_min = classical_bounds(raw.g_plus, raw.g_minus)
-    row.update(
-        g_plus=raw.g_plus,
-        g_minus=raw.g_minus,
-        gain_product=raw.gain_product,
-        fidelity=rep.fidelity,
-        fidelity_unity=metrics.unity_corrected_fidelity(raw),
-        t_plus=rep.t_plus,
-        t_minus=rep.t_minus,
-        signal_transfer=rep.signal_transfer,
-        v_cond_plus=rep.v_cond_plus,
-        v_cond_minus=rep.v_cond_minus,
-        added_noise=rep.added_noise,
-        f_classical_max=f_max,
-        t_classical_max=t_max,
-        v_classical_min=v_min,
-    )
-    return row
+
+
+def _beyond_bounds(data: dict[str, np.ndarray]) -> np.ndarray:
+    """Which rows exceed a classical bound; a failed row (NaN) never does."""
+    f, f_max, t, t_max, v, v_min = (np.asarray(data[c], dtype=float) for c in (
+        "fidelity_unity", "f_classical_max", "signal_transfer", "t_classical_max", "added_noise", "v_classical_min"))
+    return (f > f_max + BOUND_TOL) | (t > t_max + BOUND_TOL) | (v < v_min - BOUND_TOL)
+
+
+def _grid(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reflectivity, gain and v_n of each grid row (r outermost, v_n
+    innermost), as float64 columns; an unswept knob holds its default."""
+    axes = (cfg.sweep_reflectivity, cfg.sweep_gain, cfg.sweep_v_n)
+    values = [axis.values() if axis else [knob] for axis, knob in zip(axes, _knobs(cfg, None, None, None))]
+    return tuple(np.array(k, dtype=float).ravel() for k in np.meshgrid(*values, indexing="ij"))
+
+
+# Fidelity and conditional variances refer to the delivered (corrected)
+# state; gains and the classical bounds refer to the raw protocol output,
+# since the per-quadrature transfer bound assumes no local squeezing after
+# reconstruction (T itself is invariant under the correction, so the
+# comparison stays consistent).
+_DELIVERED_COLUMNS = ("fidelity", "t_plus", "t_minus", "signal_transfer", "v_cond_plus", "v_cond_minus", "added_noise")
+
+
+def _sweep(cfg: ExperimentConfig, r: np.ndarray, g: np.ndarray, n: np.ndarray):
+    """The CSV columns of the rows at knobs ``r``, ``g``, ``n`` and the
+    reason of each failed row, from one dealer and one protocol build over
+    all rows (over floats when there is one row)."""
+    size = len(r)
+    data = {c: np.full(size, np.nan) for c in CSV_COLUMNS}
+    data.update(protocol=np.full(size, cfg.protocol), reflectivity=r, gain=g, v_n=n,
+                oracle_max_z=np.full(size, None, dtype=object))
+    errors: dict[int, str] = {}
+    live = np.arange(size)
+    while live.size:
+        r_live, g_live, n_live = (k[live] if size > 1 else float(k[0]) for k in (r, g, n))
+        shares = dealer_encode(cfg.dealer(n_live))
+        try:
+            raw, corrected = _BUILDERS[cfg.protocol](cfg, shares, shares.share(cfg.player), r_live, g_live)
+        except ValueError as exc:
+            # A guard fails its rows, each with its own message; any other error fails every row.
+            failure = exc if isinstance(exc, RowError) else RowError(True, [str(exc)] * live.size)
+            mask = np.broadcast_to(failure.mask, live.shape)
+            errors.update(zip(live[mask].tolist(), failure.messages))
+            live = live[~mask]
+            continue
+        raw_rep = make_report(shares.secret, raw)
+        rep = metrics.metrics_report(raw_rep if corrected is raw else make_report(shares.secret, corrected))
+        f_max, t_max, v_min = classical_bounds(raw_rep.g_plus, raw_rep.g_minus)
+        cells = {"g_plus": raw_rep.g_plus, "g_minus": raw_rep.g_minus, "gain_product": raw_rep.gain_product,
+                 "fidelity_unity": metrics.unity_corrected_fidelity(raw_rep),
+                 "f_classical_max": f_max, "t_classical_max": t_max, "v_classical_min": v_min}
+        cells.update((c, getattr(rep, c)) for c in _DELIVERED_COLUMNS)
+        for c, values in cells.items():
+            data[c][live] = values
+        break
+    return data, errors
 
 
 def run(cfg: ExperimentConfig, with_oracle: bool = False) -> RunResult:
@@ -459,30 +501,29 @@ def run(cfg: ExperimentConfig, with_oracle: bool = False) -> RunResult:
     row_z = oracle_check(cfg).row_z if with_oracle else {}
     if cfg.protocol == "summary":
         return _summary_run(cfg)
-    rows = [_evaluate_row(cfg, r, g, n) for r, g, n in _grid(cfg)]
+    data, errors = _sweep(cfg, *_grid(cfg))
     for idx, z in row_z.items():
-        rows[idx]["oracle_max_z"] = z
-    good = [r for r in rows if not r.get("error")]
+        data["oracle_max_z"][idx] = z
+    good = np.ones(len(data["protocol"]), bool)
+    good[list(errors)] = False
     summary = {
-        "rows": len(rows),
-        "failed_rows": len(rows) - len(good),
-        "bound_violations": 0,
+        "rows": good.size,
+        "failed_rows": len(errors),
+        "bound_violations": int(_beyond_bounds(data).sum()),
         "classical_mode": cfg.is_classical(),
     }
-    if good:
-        best_f = max(good, key=lambda r: r["fidelity"])
-        best_t = max(good, key=lambda r: r["signal_transfer"])
-        min_v = min(good, key=lambda r: r["added_noise"])
+    if good.any():
+        col = {c: data[c][good] for c in ("fidelity", "gain_product", "fidelity_unity", "signal_transfer",
+                                           "added_noise")}
+        best_f = np.argmax(col["fidelity"])
         summary.update(
-            best_fidelity=best_f["fidelity"],
-            best_fidelity_gain_product=best_f["gain_product"],
-            best_unity_fidelity=max(r["fidelity_unity"] for r in good),
-            best_signal_transfer=best_t["signal_transfer"],
-            min_added_noise=min_v["added_noise"],
+            best_fidelity=col["fidelity"].item(best_f),
+            best_fidelity_gain_product=col["gain_product"].item(best_f),
+            best_unity_fidelity=col["fidelity_unity"].max().item(),
+            best_signal_transfer=col["signal_transfer"].max().item(),
+            min_added_noise=col["added_noise"].min().item(),
         )
-    result = RunResult(CSV_COLUMNS, rows, summary)
-    summary["bound_violations"] = len(result.bound_violations())
-    return result
+    return RunResult(CSV_COLUMNS, data, summary, errors)
 
 
 def _summary_run(cfg: ExperimentConfig) -> RunResult:
@@ -496,34 +537,32 @@ def _summary_run(cfg: ExperimentConfig) -> RunResult:
     mz_cfg = replace(cfg, protocol="mz", sweep_gain=None, sweep_reflectivity=None, sweep_v_n=None)
     ff_cfg = replace(cfg, protocol="single_ff", unity_gain=True,
                      sweep_gain=None, sweep_reflectivity=None, sweep_v_n=None)
-    mz_row = _evaluate_row(mz_cfg, None, None, None)
-    ff_row = _evaluate_row(ff_cfg, None, None, None)
-    sweep_cfg = replace(ff_cfg, unity_gain=False)
-    sweep_rows = [_evaluate_row(sweep_cfg, None, g, None)
-                  for g in SweepAxis(0.0, 40.0, 201).values()]
-    f12, f23 = mz_row["fidelity"], ff_row["fidelity"]
+    sweep_cfg = replace(ff_cfg, unity_gain=False, sweep_gain=SweepAxis(0.0, 40.0, 201))
+    (mz, mz_errors), (ff, ff_errors), (sweep, _) = (_sweep(c, *_grid(c)) for c in (mz_cfg, ff_cfg, sweep_cfg))
+    f12, f23 = mz["fidelity"].item(0), ff["fidelity"].item(0)
     f_avg = (f12 + 2.0 * f23) / 3.0
     f_classical = classical_avg_fidelity(2, 3)
-    avg_row = {c: None for c in CSV_COLUMNS}
-    avg_row.update(protocol="average", fidelity=f_avg)
+    data = {c: np.array([mz[c].item(0), ff[c].item(0), None], dtype=object) for c in CSV_COLUMNS}
+    data["protocol"][2], data["fidelity"][2] = "average", f_avg
+    errors = {i: e for i, row_errors in enumerate((mz_errors, ff_errors)) for e in row_errors.values()}
     summary = {
         "rows": 3,
-        "failed_rows": 0,
+        "failed_rows": len(errors),
         "bound_violations": 0,
         "classical_mode": cfg.is_classical(),
         "f_12": f12,
         "f_23": f23,
-        "t_12": mz_row["signal_transfer"],
-        "v_12": mz_row["added_noise"],
-        "t_23_best": max(r["signal_transfer"] for r in sweep_rows),
-        "v_23_best": min(r["added_noise"] for r in sweep_rows),
-        "t_23_unity": ff_row["signal_transfer"],
-        "v_23_unity": ff_row["added_noise"],
+        "t_12": mz["signal_transfer"].item(0),
+        "v_12": mz["added_noise"].item(0),
+        "t_23_best": sweep["signal_transfer"].max().item(),
+        "v_23_best": sweep["added_noise"].min().item(),
+        "t_23_unity": ff["signal_transfer"].item(0),
+        "v_23_unity": ff["added_noise"].item(0),
         "f_avg": f_avg,
         "classical_f_avg_limit": f_classical,
         "beats_classical_average": f_avg > f_classical,
     }
-    return RunResult(CSV_COLUMNS, [mz_row, ff_row, avg_row], summary)
+    return RunResult(CSV_COLUMNS, data, summary, errors)
 
 
 # -- accessible region -------------------------------------------------------
@@ -550,15 +589,12 @@ def pareto_frontier(points: list[tuple[float, float]]) -> list[tuple[float, floa
 
 
 def region_boundary(cfg: ExperimentConfig) -> list[tuple[float, float]]:
-    """Pareto frontier of the accessible (T, V) set over the sweep grid."""
-    points = []
-    for r, g, n in _grid(cfg):
-        row = _evaluate_row(cfg, r, g, n)
-        if not row.get("error"):
-            points.append((row["signal_transfer"], row["added_noise"]))
-    if not points:
+    """Pareto frontier of the accessible (T, V) set over the sweep grid.
+    A failed row's T and V are NaN, which the frontier skips."""
+    data, errors = _sweep(cfg, *_grid(cfg))
+    if len(errors) == len(data["protocol"]):
         raise ConfigError("no evaluable grid points")
-    return pareto_frontier(points)
+    return pareto_frontier(list(zip(data["signal_transfer"].tolist(), data["added_noise"].tolist())))
 
 
 # -- Monte Carlo oracle ------------------------------------------------------
@@ -581,14 +617,14 @@ def oracle_check(cfg: ExperimentConfig) -> OracleReport:
         raise ConfigError("the summary protocol has no sweep rows to sample")
     if cfg.shots < 10_000:
         raise ConfigError("oracle needs at least 10^4 shots")
-    grid = list(_grid(cfg))
-    n_check = max(1, min(cfg.oracle_rows, len(grid)))
-    idx = sorted({round(i * (len(grid) - 1) / max(n_check - 1, 1)) for i in range(n_check)})
+    grid = _grid(cfg)
+    size = grid[0].size
+    n_check = max(1, min(cfg.oracle_rows, size))
+    idx = sorted({round(i * (size - 1) / max(n_check - 1, 1)) for i in range(n_check)})
     findings: list[OracleFinding] = []
     row_z: dict[int, float] = {}
     for i in idx:
-        r, g, n = grid[i]
-        pipe = build_pipeline(cfg, r, g, n)
+        pipe = build_pipeline(cfg, *(k.item(i) for k in grid))
         if pipe.error:
             continue
         fs = compare_mode_to_samples(pipe.raw, pipe.raw, cfg.shots, cfg.seed + i, row=i)
@@ -620,7 +656,7 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def rows_to_csv(columns: list[str], rows: list[dict]) -> str:
+def rows_to_csv(columns: list[str], rows) -> str:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_format_cell(row.get(c)) for c in columns))
@@ -630,14 +666,9 @@ def rows_to_csv(columns: list[str], rows: list[dict]) -> str:
 def result_to_json(result: RunResult) -> str:
     """The rows, with an ``error`` entry on each failed one, and the
     summary as JSON."""
-    rows = []
-    for row in result.rows:
-        rows.append({c: row.get(c) for c in result.columns})
-        if row.get("error"):
-            rows[-1]["error"] = row["error"]
     payload = {
         "columns": result.columns,
-        "rows": rows,
+        "rows": list(result.rows),
         "summary": result.summary,
     }
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"

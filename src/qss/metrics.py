@@ -6,6 +6,10 @@ reconstruction metric here is a closed form of one
 :class:`~qss.protocols.ReconstructionReport`: the secret's means and the
 output's gains g+- and variances V+-.
 
+Each reconstruction metric is one numpy expression over floats or, for
+a batch, arrays with one entry per row; its zero cases are ``np.where``
+selections, so numpy's warnings for the discarded branches are off.
+
 The conditional variance is reported in its coherent-secret form
 V_out - g^2, not the optimal-estimator form V_in - cov^2 / V_out: only
 the coherent-secret form reproduces the classical floor V >= 1/4 and
@@ -17,9 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .components import epr_pair, loss
 from .modes import MINUS, PLUS, QuadratureMode, covariance, new_squeezed, variance
 from .protocols import ReconstructionReport, classical_bounds
+
+# libm's exp, elementwise: numpy's own float64 exp, used on CPUs with
+# AVX-512, differs by an ulp on some inputs, so results would vary by CPU.
+_exp = np.frompyfunc(math.exp, 1, 1)
 
 
 @dataclass
@@ -54,13 +64,14 @@ def fidelity(secret_means: tuple[float, float], g_plus: float, g_minus: float,
     Returns 0 when the output carries no secret component at all: the
     overlap vanishes once averaged over unknown displacements.
     """
-    if v_out_plus < 0.0 or v_out_minus < 0.0:
+    if np.any(v_out_plus < 0.0) or np.any(v_out_minus < 0.0):
         raise ValueError("output variances must be >= 0")
-    if g_plus == 0.0 and g_minus == 0.0:
-        return 0.0
-    k_plus = secret_means[0] ** 2 * (1.0 - g_plus) ** 2 / (1.0 + v_out_plus)
-    k_minus = secret_means[1] ** 2 * (1.0 - g_minus) ** 2 / (1.0 + v_out_minus)
-    return 2.0 * math.exp(-(k_plus + k_minus) / 4.0) / math.sqrt((1.0 + v_out_plus) * (1.0 + v_out_minus))
+    with np.errstate(all="ignore"):
+        k_plus = secret_means[0] ** 2 * (1.0 - g_plus) ** 2 / (1.0 + v_out_plus)
+        k_minus = secret_means[1] ** 2 * (1.0 - g_minus) ** 2 / (1.0 + v_out_minus)
+        f = (2.0 * np.asarray(_exp(-(k_plus + k_minus) / 4.0), dtype=float)
+             / np.sqrt((1.0 + v_out_plus) * (1.0 + v_out_minus)))
+    return np.where((g_plus == 0.0) & (g_minus == 0.0), 0.0, f)[()]
 
 
 def signal_transfer(rep: ReconstructionReport) -> tuple[float, float, float]:
@@ -69,12 +80,13 @@ def signal_transfer(rep: ReconstructionReport) -> tuple[float, float, float]:
     Defined via signal-to-noise ratios, so nonzero secret means are
     required, but the value itself is independent of their magnitude:
     T = g^2 V_in / V_out per quadrature, with V_in = 1 for the coherent
-    secret.
+    secret.  A zero output variance carries no signal: T = 0.
     """
     if rep.secret.plus.mean == 0.0 or rep.secret.minus.mean == 0.0:
         raise ValueError("signal transfer is undefined for a zero secret mean")
-    t_plus = rep.g_plus**2 / rep.v_out_plus
-    t_minus = rep.g_minus**2 / rep.v_out_minus
+    with np.errstate(all="ignore"):
+        t_plus, t_minus = (np.where(v > 0.0, np.square(g) / v, 0.0)[()]
+                           for g, v in ((rep.g_plus, rep.v_out_plus), (rep.g_minus, rep.v_out_minus)))
     return t_plus, t_minus, t_plus + t_minus
 
 
@@ -82,7 +94,7 @@ def conditional_variance(rep: ReconstructionReport, quadrature: str) -> float:
     """Reconstruction noise V_out - g^2 on one quadrature.  A zero output
     variance degenerates to zero added noise."""
     g, v_out = (rep.g_plus, rep.v_out_plus) if quadrature == PLUS else (rep.g_minus, rep.v_out_minus)
-    return v_out - g**2 if v_out > 0.0 else 0.0
+    return np.where(v_out > 0.0, v_out - np.square(g), 0.0)[()]
 
 
 def duan_inseparability(epr1: QuadratureMode, epr2: QuadratureMode) -> float:
@@ -149,39 +161,39 @@ def unity_corrected_fidelity(rep: ReconstructionReport) -> float:
     not positive.  When k g+ g- = g-^2 underflows to 0, V-/(k g+ g-) is
     taken as its limit +inf, so the fidelity is its limit 0.
     """
-    gg = rep.g_plus * rep.g_minus
-    if gg <= 0.0:
-        return 0.0
-    k = rep.g_minus / rep.g_plus
-    added = abs(1.0 / gg - 1.0)
-    v_minus = rep.v_out_minus / (k * gg) + added if k * gg != 0.0 else math.inf
-    return fidelity((rep.secret.plus.mean, rep.secret.minus.mean), 1.0, 1.0,
-                    k * rep.v_out_plus / gg + added, v_minus)
+    with np.errstate(all="ignore"):
+        positive = rep.g_plus * rep.g_minus > 0.0
+        g_p, g_m = (np.where(positive, g, 1.0)[()] for g in (rep.g_plus, rep.g_minus))
+        gg = g_p * g_m
+        k = g_m / g_p
+        added = np.abs(1.0 / gg - 1.0)
+        v_plus = k * rep.v_out_plus / gg + added
+        v_minus = np.where(k * gg != 0.0, rep.v_out_minus / (k * gg) + added, np.inf)[()]
+    f = fidelity((rep.secret.plus.mean, rep.secret.minus.mean), 1.0, 1.0, v_plus, v_minus)
+    return np.where(positive, f, 0.0)[()]
 
 
 def metrics_report(rep: ReconstructionReport) -> MetricsReport:
     """Full F/T/V report for one reconstructed (or adversary) state."""
     g_p, g_m = rep.g_plus, rep.g_minus
     f_max, t_max, v_min = classical_bounds(g_p, g_m)
-    if g_p == 0.0 and g_m == 0.0:
-        f = t_p = t_m = 0.0
-    else:
-        f = fidelity((rep.secret.plus.mean, rep.secret.minus.mean), g_p, g_m, rep.v_out_plus, rep.v_out_minus)
-        t_p, t_m, _ = signal_transfer(rep)
+    f = fidelity((rep.secret.plus.mean, rep.secret.minus.mean), g_p, g_m, rep.v_out_plus, rep.v_out_minus)
+    t_p, t_m, _ = signal_transfer(rep)
     v_p = conditional_variance(rep, PLUS)
     v_m = conditional_variance(rep, MINUS)
-    return MetricsReport(
-        fidelity=f,
-        g_plus=g_p,
-        g_minus=g_m,
-        gain_product=g_p * g_m,
-        t_plus=t_p,
-        t_minus=t_m,
-        signal_transfer=t_p + t_m,
-        v_cond_plus=v_p,
-        v_cond_minus=v_m,
-        added_noise=v_p * v_m,
-        f_classical_max=f_max,
-        t_classical_max=t_max,
-        v_classical_min=v_min,
-    )
+    with np.errstate(all="ignore"):  # an overflow gives inf, as it does for floats
+        return MetricsReport(
+            fidelity=f,
+            g_plus=g_p,
+            g_minus=g_m,
+            gain_product=g_p * g_m,
+            t_plus=t_p,
+            t_minus=t_m,
+            signal_transfer=t_p + t_m,
+            v_cond_plus=v_p,
+            v_cond_minus=v_m,
+            added_noise=v_p * v_m,
+            f_classical_max=f_max,
+            t_classical_max=t_max,
+            v_classical_min=v_min,
+        )

@@ -21,11 +21,19 @@ no key.  A coefficient dict is never changed after it is built, so
 forms may share one.  Axes have no global id: they are ordered by first
 appearance, X+ keys before X- keys, mode by mode (see :func:`mode_axes`),
 so a build's axis order depends only on that build.
+
+A batch of builds that differ only in their knobs is one build whose
+means, coefficients and axis variances may be numpy arrays, one entry
+per row.  Only a float coefficient that sums to zero is dropped, so a
+row of a batch can keep zero terms that the row built alone drops, and
+add its terms in another order; the two agree to a few ulp.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 TOL = 1e-12
 
@@ -43,7 +51,7 @@ class NoiseAxis:
     label: str = ""
 
     def __post_init__(self):
-        if self.variance < 0:
+        if np.any(self.variance < 0):
             raise ValueError(f"axis variance must be >= 0, got {self.variance}")
         if self.role not in (None, PLUS, MINUS):
             raise ValueError(f"unknown axis role {self.role!r}")
@@ -91,12 +99,12 @@ class QuadratureMode:
 
 
 def _accumulate(target: dict[NoiseAxis, float], coeffs: dict[NoiseAxis, float], k: float):
-    """Add ``k * coeffs`` into ``target``, dropping keys that sum to zero."""
-    if k == 0.0:
+    """Add ``k * coeffs`` into ``target``, dropping float keys that sum to zero."""
+    if isinstance(k, float) and k == 0.0:
         return
     for ax, c in coeffs.items():
         v = target.get(ax, 0.0) + k * c
-        if v == 0.0:
+        if isinstance(v, float) and v == 0.0:
             target.pop(ax, None)
         else:
             target[ax] = v
@@ -183,15 +191,36 @@ def linear_combine(terms) -> QuadratureMode:
     return QuadratureMode(LinearForm(mean_p, coeff_p), LinearForm(mean_m, coeff_m))
 
 
+def select(mask: np.ndarray, a: QuadratureMode, b: QuadratureMode) -> QuadratureMode:
+    """Row by row, mode ``a`` where the array ``mask`` holds and ``b`` elsewhere."""
+
+    def pick(fa: LinearForm, fb: LinearForm) -> LinearForm:
+        keys = dict.fromkeys((*fa.coeffs, *fb.coeffs))
+        return LinearForm(np.where(mask, fa.mean, fb.mean),
+                          {ax: np.where(mask, fa.coeffs.get(ax, 0.0), fb.coeffs.get(ax, 0.0)) for ax in keys})
+
+    return QuadratureMode(pick(a.plus, b.plus), pick(a.minus, b.minus))
+
+
+# The sums below run left to right in an explicit loop: from Python 3.12
+# on, sum() of floats is compensated, so a float row and an array row
+# would round differently.
 def variance(form: LinearForm) -> float:
-    return sum(v * v * ax.variance for ax, v in form.coeffs.items())
+    total = 0.0
+    for ax, v in form.coeffs.items():
+        total += v * v * ax.variance
+    return total
 
 
 def covariance(form_a: LinearForm, form_b: LinearForm) -> float:
     ca, cb = form_a.coeffs, form_b.coeffs
     if len(cb) < len(ca):
         ca, cb = cb, ca
-    return sum(c * cb[ax] * ax.variance for ax, c in ca.items() if ax in cb)
+    total = 0.0
+    for ax, c in ca.items():
+        if ax in cb:
+            total += c * cb[ax] * ax.variance
+    return total
 
 
 def commutator(form_a: LinearForm, form_b: LinearForm) -> float:

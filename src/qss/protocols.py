@@ -15,6 +15,9 @@ components; their closed forms live in the tests, as oracles.  The
 3 enters with a pi phase flip so the classical noise and anti-squeezed
 terms cancel, and the orientation is auto-detected from the sign of the
 cross-share covariance.
+
+Every knob may be an array with one entry per row of a batch; the
+orientation of share 3 is then chosen row by row.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .components import (
     DetectorSpec,
@@ -34,6 +39,7 @@ from .components import (
     phase_insensitive_amp,
     phase_sensitive_amp,
     phase_shift,
+    reject,
 )
 from .modes import (
     MINUS,
@@ -48,6 +54,7 @@ from .modes import (
     new_coherent,
     new_squeezed,
     new_vacuum,
+    select,
     variance,
 )
 
@@ -76,7 +83,7 @@ class DealerConfig:
     secret: QuadratureMode | None = None
 
     def __post_init__(self):
-        if self.v_n < 0.0:
+        if np.any(self.v_n < 0.0):
             raise ValueError("classical noise variance must be >= 0")
         if not 0.0 < self.eta_epr1_in <= 1.0:
             raise ValueError(f"eta_epr1_in must be in (0, 1], got {self.eta_epr1_in}")
@@ -190,10 +197,11 @@ def orient_share3(share_a: QuadratureMode, share3: QuadratureMode) -> Quadrature
     discriminator is the difference of the quadrature covariances, which
     does not cancel for a pure entangled pair.
     """
-    c = covariance(share_a.plus, share3.plus) - covariance(share_a.minus, share3.minus)
-    if c < 0.0:
-        return phase_shift(share3, math.pi)
-    return share3
+    flip = covariance(share_a.plus, share3.plus) - covariance(share_a.minus, share3.minus) < 0.0
+    if not np.any(flip):
+        return share3
+    flipped = phase_shift(share3, math.pi)
+    return flipped if np.all(flip) else select(flip, flipped, share3)
 
 
 def reconstruct_mz(share1: QuadratureMode, share2: QuadratureMode, eta_bs: float = 1.0) -> QuadratureMode:
@@ -206,16 +214,14 @@ def reconstruct_mz(share1: QuadratureMode, share2: QuadratureMode, eta_bs: float
 
 def reconstruct_pia(share_a: QuadratureMode, share3: QuadratureMode, gain: float = UNITY_PIA_GAIN) -> QuadratureMode:
     """{1,3}/{2,3} group: amplify one share with share 3 as the idler."""
-    if gain < 1.0:
-        raise ValueError(f"amplifier gain must be >= 1, got {gain}")
+    reject(gain < 1.0, "amplifier gain must be >= 1, got {}", gain)
     return phase_insensitive_amp(share_a, orient_share3(share_a, share3), gain)
 
 
 def reconstruct_two_opa(share_a: QuadratureMode, share3: QuadratureMode, gain: float = UNITY_TWO_OPA_GAIN) -> QuadratureMode:
     """{1,3}/{2,3} group: interfere, amplify noiselessly with amplitude
     gains 1/sqrt(G) and sqrt(G), and recombine."""
-    if gain <= 0.0:
-        raise ValueError(f"amplifying gain must be > 0, got {gain}")
+    reject(gain <= 0.0, "amplifying gain must be > 0, got {}", gain)
     c, d = beam_splitter(share_a, orient_share3(share_a, share3), 0.5)
     c_amp = phase_sensitive_amp(c, 1.0 / gain)
     d_amp = phase_sensitive_amp(d, gain)
@@ -288,16 +294,16 @@ def reconstruct_double_ff(
 
     g0 = secret_gains(secret, build(0.0, 0.0))
     g1 = secret_gains(secret, build(1.0, 1.0))
-    error = f"optical gain {g_target} is unreachable at reflectivity {reflectivity}"
-    return build(*(_electronic_gain(a, b, g_target, error) for a, b in zip(g0, g1)))
+    error = ("optical gain {} is unreachable at reflectivity {}", g_target, reflectivity)
+    return build(*(_electronic_gain(a, b, g_target, *error) for a, b in zip(g0, g1)))
 
 
-def _electronic_gain(g0: float, g1: float, target: float, error: str) -> float:
+def _electronic_gain(g0: float, g1: float, target: float, *error) -> float:
     """Electronic gain at which an optical gain that is affine in it,
-    ``g0`` at electronic gain 0 and ``g1`` at 1, equals ``target``."""
+    ``g0`` at electronic gain 0 and ``g1`` at 1, equals ``target``;
+    ``error`` is the :func:`~qss.components.reject` message and values."""
     slope = g1 - g0
-    if abs(slope) < 1e-12:
-        raise ValueError(error)
+    reject(abs(slope) < 1e-12, *error)
     return (target - g0) / slope
 
 
@@ -309,8 +315,7 @@ def solve_single_ff_unity_gain(gains) -> float:
     """
     (g0_plus, g_minus), (g1_plus, _) = gains(0.0), gains(1.0)
     error = "unity gain unreachable for this configuration"
-    if abs(g_minus) < 1e-12:
-        raise ValueError(error)
+    reject(abs(g_minus) < 1e-12, error)
     return _electronic_gain(g0_plus, g1_plus, 1.0 / g_minus, error)
 
 
@@ -338,17 +343,12 @@ def classical_bounds(g_plus: float, g_minus: float) -> tuple[float, float, float
     symmetrised product g+ g- is used, consistent with correcting to
     unity gain by noiseless squeezing plus minimal amplification.
     """
-    gg = g_plus * g_minus
-    if gg <= 0.0:
-        f_max = 0.0
-    else:
-        f_max = 1.0 / (1.0 + abs((1.0 - gg) / gg))
-    t_max = 0.0
-    for g in (g_plus, g_minus):
-        if g != 0.0:
-            t_max += 1.0 / (1.0 + abs(1.0 / g**2 - 1.0))
-    v_min = (1.0 - gg) ** 2
-    return f_max, t_max, v_min
+    with np.errstate(all="ignore"):  # the zero cases divide by zero, then are discarded
+        gg = np.multiply(g_plus, g_minus)
+        f_max = np.where(gg <= 0.0, 0.0, 1.0 / (1.0 + np.abs((1.0 - gg) / gg)))[()]
+        t_plus, t_minus = (np.where(g != 0.0, 1.0 / (1.0 + np.abs(1.0 / np.square(g) - 1.0)), 0.0)[()]
+                           for g in (g_plus, g_minus))
+        return f_max, t_plus + t_minus, (1.0 - gg) ** 2
 
 
 def classical_avg_fidelity(k: int, n: int) -> float:

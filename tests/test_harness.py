@@ -1,7 +1,10 @@
 import dataclasses
+import gc
 import json
 import statistics
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from qss import cli, harness, oracle
@@ -20,9 +23,10 @@ from qss.harness import (
     rows_to_csv,
     run,
 )
+from qss.metrics import metrics_report, unity_corrected_fidelity
 from qss.modes import LinearForm, QuadratureMode, mode_axes
 from qss.oracle import CHUNK_SHOTS
-from qss.protocols import make_report
+from qss.protocols import classical_bounds, dealer_encode, make_report, orient_share3
 
 
 def small_adversary_config(**kw):
@@ -182,6 +186,93 @@ def test_double_ff_unreachable_gain_marks_row():
     result = run(cfg)
     assert result.summary["failed_rows"] == 1
     assert "error" in result.rows[0]
+
+
+def _row_alone(cfg, r, g, n):
+    """One row built by :func:`build_pipeline` and measured at batch 1:
+    its error message, or its metric cells."""
+    pipe = build_pipeline(cfg, r, g, n)
+    if pipe.error:
+        return pipe.error
+    raw = make_report(pipe.secret, pipe.raw)
+    rep = metrics_report(raw if pipe.corrected is pipe.raw else make_report(pipe.secret, pipe.corrected))
+    f_max, t_max, v_min = classical_bounds(raw.g_plus, raw.g_minus)
+    cells = {c: getattr(rep, c) for c in ("fidelity", "t_plus", "t_minus", "signal_transfer",
+                                          "v_cond_plus", "v_cond_minus", "added_noise")}
+    cells.update(g_plus=raw.g_plus, g_minus=raw.g_minus, gain_product=raw.gain_product,
+                 fidelity_unity=unity_corrected_fidelity(raw),
+                 f_classical_max=f_max, t_classical_max=t_max, v_classical_min=v_min)
+    return cells
+
+
+BATCH_CASES = [
+    ExperimentConfig(protocol="mz", sweep_v_n=SweepAxis(0.0, 2.0, 3), **harness.EXPERIMENT_KWARGS),
+    ExperimentConfig(protocol="pia", v_sq=0.3, sweep_gain=SweepAxis(0.0, 3.0, 4)),  # gain 0 fails
+    # Classical dealer: share 3 is flipped for v_n > 0 only, so the flip changes partway.
+    ExperimentConfig(protocol="pia", v_sq=1.0, sweep_v_n=SweepAxis(0.0, 2.0, 3)),
+    ExperimentConfig(protocol="two_opa", v_sq=0.3, sweep_gain=SweepAxis(0.0, 6.0, 4)),  # gain 0 fails
+    ExperimentConfig(protocol="single_ff", v_sq=0.3, sweep_reflectivity=SweepAxis(0.0, 1.0, 3),
+                     sweep_gain=SweepAxis(0.0, 4.0, 3)),
+    # Unity gain is unreachable at reflectivity 0 (g- = 0) and 1 (no feed-forward).
+    ExperimentConfig(protocol="single_ff", unity_gain=True, sweep_reflectivity=SweepAxis(0.0, 1.0, 5),
+                     **harness.EXPERIMENT_KWARGS),
+    ExperimentConfig(protocol="single_ff", v_sq=1.0, sweep_v_n=SweepAxis(0.0, 2.0, 3)),
+    # The optical gain is unreachable at reflectivity 0.
+    ExperimentConfig(protocol="double_ff", v_sq=0.3, sweep_reflectivity=SweepAxis(0.0, 1.0, 5),
+                     sweep_gain=SweepAxis(0.5, 1.5, 3)),
+    ExperimentConfig(protocol="adversary_1", v_sq=0.3, sweep_v_n=SweepAxis(0.0, 3.0, 3)),
+    ExperimentConfig(protocol="adversary_3", v_sq=0.3, sweep_v_n=SweepAxis(0.0, 3.0, 3)),
+]
+
+
+@pytest.mark.parametrize("cfg", BATCH_CASES, ids=lambda cfg: cfg.protocol)
+def test_batched_sweep_matches_rows_built_alone(cfg):
+    result = run(cfg)
+    grid = list(zip(*harness._grid(cfg)))
+    assert len(result.rows) == len(grid) >= 3
+    for row, knobs in zip(result.rows, grid):
+        alone = _row_alone(cfg, *knobs)
+        if isinstance(alone, str):
+            assert row["error"] == alone
+            continue
+        assert "error" not in row
+        for column, value in alone.items():
+            np.testing.assert_array_max_ulp(row[column], value, maxulp=4)
+    cells = [cell for line in rows_to_csv(result.columns, result.rows).splitlines() for cell in line.split(",")]
+    assert "-0" not in cells
+
+
+def test_batched_sweeps_fail_the_guarded_rows():
+    pia, two_opa, double_ff = (run(BATCH_CASES[i]).errors for i in (1, 3, 7))
+    assert pia == {0: "amplifier gain must be >= 1, got 0.0"}
+    assert two_opa == {0: "amplifying gain must be > 0, got 0.0"}
+    assert double_ff == {i: f"optical gain {g} is unreachable at reflectivity 0.0"
+                         for i, g in enumerate((0.5, 1.0, 1.5))}
+
+
+def test_share3_flips_partway_through_a_classical_noise_sweep():
+    cfg = BATCH_CASES[2]
+    flipped = []
+    for n in harness._grid(cfg)[2]:
+        shares = dealer_encode(cfg.dealer(float(n)))
+        flipped.append(orient_share3(shares.share2, shares.share3) is not shares.share3)
+    assert flipped == [False, True, True]
+
+
+def test_result_keeps_no_per_row_objects():
+    # The rows of a result are made on access, so it holds a few arrays
+    # rather than one dict and 19 floats per row (26,862 blocks for fig2a).
+    tracemalloc.start()
+    try:
+        result = run(preset_config("fig2a"))
+        gc.collect()
+        kept = tracemalloc.take_snapshot()
+        del result
+        gc.collect()
+        freed = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert sum(stat.count_diff for stat in kept.compare_to(freed, "filename")) < 1000
 
 
 # -- Pareto frontier ---------------------------------------------------------
@@ -352,10 +443,19 @@ def test_cli_bound_violation_exit_code(monkeypatch, capsys):
     violating.update(protocol="single_ff", fidelity_unity=0.9, f_classical_max=0.5,
                      signal_transfer=0.0, t_classical_max=1.0,
                      added_noise=1.0, v_classical_min=0.25)
-    fake = harness.RunResult(harness.CSV_COLUMNS, [violating],
+    fake = harness.RunResult(harness.CSV_COLUMNS, {c: np.array([v]) for c, v in violating.items()},
                              {"classical_mode": True, "bound_violations": 1})
     monkeypatch.setattr(harness, "run", lambda cfg, with_oracle=False: fake)
     assert cli.main(["run", "--preset", "fig4a-classical"]) == 4
+
+
+def test_cli_classical_summary_checks_its_bounds(tmp_path, capsys):
+    # A classical-mode run checks the bounds; the summary's average row
+    # has none of its own, so it is never beyond one.
+    cfg = tmp_path / "summary.cfg"
+    cfg.write_text("protocol.name = summary\ndealer.v_sq = 1.0\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    assert "classical_mode: True" in capsys.readouterr().err
 
 
 def test_cli_region_and_presets(capsys):

@@ -210,7 +210,7 @@ def test_unity_corrected_fidelity_matches_composition(g_plus, g_minus, v_plus, v
 def test_unity_corrected_fidelity_matches_composition_on_presets(name):
     cfg = preset_config(name)
     worst = 0.0
-    for r, g, n in harness._grid(cfg):
+    for r, g, n in zip(*harness._grid(cfg)):
         pipe = build_pipeline(cfg, r, g, n)
         worst = max(worst, abs(unity_corrected_fidelity(make_report(pipe.secret, pipe.raw))
                                - composed_unity_fidelity(pipe.secret, pipe.raw)))
