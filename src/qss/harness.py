@@ -6,11 +6,12 @@ selected rows against the Monte Carlo oracle of :mod:`qss.oracle`.
 Each protocol is built by one entry of a ``{name: builder}`` table; the
 ``summary`` protocol has none and is dispatched in :func:`run`.
 
-A sweep is one dealer and one protocol build, with reflectivity, gain
-and v_n as arrays of the grid's rows (floats for a one-row grid), and
-its results stay columns (:class:`RunResult`) until they are written.
-Rows a guard rejects fail with the message each would give alone, and
-the rest are built again.  :func:`build_pipeline` builds one row.
+Every build goes through :func:`_build`: one dealer and one protocol
+build, with reflectivity, gain and v_n as arrays of the grid's rows
+(floats for one row).  Rows a guard rejects fail with the message each
+would give alone, and the rest are built again.  A sweep builds all its
+rows at once, and its results stay columns (:class:`RunResult`) until
+they are written; the oracle check builds each row it samples alone.
 
 Configs are flat dotted-key text files (``dealer.v_sq_db = -4.5``) or
 JSON objects with the same keys.  Identical config + seed produces a
@@ -307,20 +308,6 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 # -- pipeline assembly -------------------------------------------------------
 
 
-@dataclass
-class PipelineResult:
-    """One build: the secret, the raw and corrected outputs, and the
-    knobs it was built at."""
-
-    secret: QuadratureMode
-    raw: QuadratureMode
-    corrected: QuadratureMode
-    reflectivity: float
-    gain: float
-    v_n: float
-    error: str | None = None
-
-
 # The gain knob of each protocol that has one; mz and the adversary views
 # have none, and their rows show gain 0.
 _DEFAULT_GAIN = {
@@ -331,16 +318,13 @@ _DEFAULT_GAIN = {
 }
 
 
-def _knobs(cfg: ExperimentConfig, reflectivity: float | None, gain: float | None,
-           v_n: float | None) -> tuple[float, float, float]:
-    """Reflectivity, gain and classical noise of one run: each the given
-    value, else the config's, else the protocol's default."""
-    if reflectivity is None:
-        reflectivity = cfg.reflectivity if cfg.reflectivity is not None else (
-            DOUBLE_FF_REFLECTIVITY if cfg.protocol == "double_ff" else SINGLE_FF_REFLECTIVITY)
-    if gain is None:
-        gain = cfg.gain if cfg.gain is not None else _DEFAULT_GAIN.get(cfg.protocol, 0.0)
-    return reflectivity, gain, cfg.v_n if v_n is None else v_n
+def _knobs(cfg: ExperimentConfig) -> tuple[float, float, float]:
+    """Reflectivity, gain and classical noise of an unswept run: each the
+    config's, else the protocol's default."""
+    reflectivity = cfg.reflectivity if cfg.reflectivity is not None else (
+        DOUBLE_FF_REFLECTIVITY if cfg.protocol == "double_ff" else SINGLE_FF_REFLECTIVITY)
+    gain = cfg.gain if cfg.gain is not None else _DEFAULT_GAIN.get(cfg.protocol, 0.0)
+    return reflectivity, gain, cfg.v_n
 
 
 def _build_single_ff(cfg: ExperimentConfig, shares, share_a, r: float, g: float):
@@ -378,17 +362,32 @@ _BUILDERS = {
 PROTOCOLS = (*_BUILDERS, "summary")
 
 
-def build_pipeline(cfg: ExperimentConfig, reflectivity: float | None, gain: float | None,
-                   v_n: float | None) -> PipelineResult:
-    """One dealer + reconstruction run at explicit knob settings; a knob
-    left as None takes its default (see :func:`_knobs`)."""
-    r, g, n = _knobs(cfg, reflectivity, gain, v_n)
-    shares = dealer_encode(cfg.dealer(n))
-    try:
-        raw, corrected = _BUILDERS[cfg.protocol](cfg, shares, shares.share(cfg.player), r, g)
-    except ValueError as exc:
-        return PipelineResult(shares.secret, shares.secret, shares.secret, r, g, n, error=str(exc))
-    return PipelineResult(shares.secret, raw, corrected, r, g, n)
+def _build(cfg: ExperimentConfig, r: np.ndarray, g: np.ndarray, n: np.ndarray):
+    """One dealer and one protocol build over the rows at knobs ``r``,
+    ``g``, ``n`` (float64 columns; a one-row build runs on floats).
+
+    Returns the indices of the rows built, the secret, the raw and the
+    corrected outputs (all None if no row is built), and the reason of
+    each failed row.  A guard fails its own rows, each with the message
+    it would give alone, and the rest are built again; any other
+    ``ValueError`` fails every remaining row.
+    """
+    size = len(r)
+    errors: dict[int, str] = {}
+    live = np.arange(size)
+    while live.size:
+        r_live, g_live, n_live = (k[live] if size > 1 else float(k[0]) for k in (r, g, n))
+        shares = dealer_encode(cfg.dealer(n_live))
+        try:
+            raw, corrected = _BUILDERS[cfg.protocol](cfg, shares, shares.share(cfg.player), r_live, g_live)
+        except ValueError as exc:
+            failure = exc if isinstance(exc, RowError) else RowError(True, [str(exc)] * live.size)
+            mask = np.broadcast_to(failure.mask, live.shape)
+            errors.update(zip(live[mask].tolist(), failure.messages))
+            live = live[~mask]
+            continue
+        return live, shares.secret, raw, corrected, errors
+    return live, None, None, None, errors
 
 
 # -- sweeps ------------------------------------------------------------------
@@ -449,7 +448,7 @@ def _grid(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reflectivity, gain and v_n of each grid row (r outermost, v_n
     innermost), as float64 columns; an unswept knob holds its default."""
     axes = (cfg.sweep_reflectivity, cfg.sweep_gain, cfg.sweep_v_n)
-    values = [axis.values() if axis else [knob] for axis, knob in zip(axes, _knobs(cfg, None, None, None))]
+    values = [axis.values() if axis else [knob] for axis, knob in zip(axes, _knobs(cfg))]
     return tuple(np.array(k, dtype=float).ravel() for k in np.meshgrid(*values, indexing="ij"))
 
 
@@ -463,28 +462,15 @@ _DELIVERED_COLUMNS = ("fidelity", "t_plus", "t_minus", "signal_transfer", "v_con
 
 def _sweep(cfg: ExperimentConfig, r: np.ndarray, g: np.ndarray, n: np.ndarray):
     """The CSV columns of the rows at knobs ``r``, ``g``, ``n`` and the
-    reason of each failed row, from one dealer and one protocol build over
-    all rows (over floats when there is one row)."""
+    reason of each failed row (see :func:`_build`)."""
     size = len(r)
     data = {c: np.full(size, np.nan) for c in CSV_COLUMNS}
     data.update(protocol=np.full(size, cfg.protocol), reflectivity=r, gain=g, v_n=n,
                 oracle_max_z=np.full(size, None, dtype=object))
-    errors: dict[int, str] = {}
-    live = np.arange(size)
-    while live.size:
-        r_live, g_live, n_live = (k[live] if size > 1 else float(k[0]) for k in (r, g, n))
-        shares = dealer_encode(cfg.dealer(n_live))
-        try:
-            raw, corrected = _BUILDERS[cfg.protocol](cfg, shares, shares.share(cfg.player), r_live, g_live)
-        except ValueError as exc:
-            # A guard fails its rows, each with its own message; any other error fails every row.
-            failure = exc if isinstance(exc, RowError) else RowError(True, [str(exc)] * live.size)
-            mask = np.broadcast_to(failure.mask, live.shape)
-            errors.update(zip(live[mask].tolist(), failure.messages))
-            live = live[~mask]
-            continue
-        raw_rep = make_report(shares.secret, raw)
-        rep = metrics.metrics_report(raw_rep if corrected is raw else make_report(shares.secret, corrected))
+    live, secret, raw, corrected, errors = _build(cfg, r, g, n)
+    if live.size:
+        raw_rep = make_report(secret, raw)
+        rep = metrics.metrics_report(raw_rep if corrected is raw else make_report(secret, corrected))
         f_max, t_max, v_min = classical_bounds(raw_rep.g_plus, raw_rep.g_minus)
         cells = {"g_plus": raw_rep.g_plus, "g_minus": raw_rep.g_minus, "gain_product": raw_rep.gain_product,
                  "fidelity_unity": metrics.unity_corrected_fidelity(raw_rep),
@@ -492,7 +478,6 @@ def _sweep(cfg: ExperimentConfig, r: np.ndarray, g: np.ndarray, n: np.ndarray):
         cells.update((c, getattr(rep, c)) for c in _DELIVERED_COLUMNS)
         for c, values in cells.items():
             data[c][live] = values
-        break
     return data, errors
 
 
@@ -624,10 +609,10 @@ def oracle_check(cfg: ExperimentConfig) -> OracleReport:
     findings: list[OracleFinding] = []
     row_z: dict[int, float] = {}
     for i in idx:
-        pipe = build_pipeline(cfg, *(k.item(i) for k in grid))
-        if pipe.error:
+        live, _, raw, _, _ = _build(cfg, *(k[i:i + 1] for k in grid))
+        if not live.size:
             continue
-        fs = compare_mode_to_samples(pipe.raw, pipe.raw, cfg.shots, cfg.seed + i, row=i)
+        fs = compare_mode_to_samples(raw, raw, cfg.shots, cfg.seed + i, row=i)
         row_z[i] = max(abs(f.z) for f in fs)
         findings.extend(fs)
     worst = max(findings, key=lambda f: abs(f.z), default=None)
@@ -705,30 +690,27 @@ def _preset_fig2(v_sq: float) -> ExperimentConfig:
     )
 
 
-def build_presets() -> dict:
-    presets = {
-        "fig2a": lambda: _preset_fig2(1.0),
-        "fig2b": lambda: _preset_fig2(db_to_linear(-6.0)),
-        "fig3a-classical": lambda: ExperimentConfig(
-            protocol="single_ff", v_sq=1.0, sweep_gain=SweepAxis(0.0, 6.0, 41)),
-        "fig3b": lambda: ExperimentConfig(
-            protocol="single_ff", sweep_gain=SweepAxis(0.0, 40.0, 41), **EXPERIMENT_KWARGS),
-        "fig3b-inset-mz": lambda: ExperimentConfig(
-            protocol="mz", sweep_v_n=SweepAxis(db_to_linear(NOISE_DB), db_to_linear(NOISE_DB), 1),
-            **EXPERIMENT_KWARGS),
-        "fig4a-classical": lambda: ExperimentConfig(
-            protocol="single_ff", v_sq=1.0,
-            sweep_reflectivity=SweepAxis(0.0, 1.0, 41), sweep_gain=SweepAxis(0.0, 4.0, 41)),
-        "fig4b": lambda: ExperimentConfig(
-            protocol="single_ff", sweep_gain=SweepAxis(0.0, 40.0, 41), **EXPERIMENT_KWARGS),
-        "fig5-adversary": lambda: ExperimentConfig(
-            protocol="adversary_1", v_sq=db_to_linear(SQZ_DB), sweep_v_n=SweepAxis(0.0, 100.0, 41)),
-        "summary": lambda: ExperimentConfig(protocol="summary", **EXPERIMENT_KWARGS),
-    }
-    return presets
+def _preset_fig3b() -> ExperimentConfig:
+    return ExperimentConfig(protocol="single_ff", sweep_gain=SweepAxis(0.0, 40.0, 41), **EXPERIMENT_KWARGS)
 
 
-PRESETS = build_presets()
+PRESETS = {
+    "fig2a": lambda: _preset_fig2(1.0),
+    "fig2b": lambda: _preset_fig2(db_to_linear(-6.0)),
+    "fig3a-classical": lambda: ExperimentConfig(
+        protocol="single_ff", v_sq=1.0, sweep_gain=SweepAxis(0.0, 6.0, 41)),
+    "fig3b": _preset_fig3b,
+    "fig3b-inset-mz": lambda: ExperimentConfig(
+        protocol="mz", sweep_v_n=SweepAxis(db_to_linear(NOISE_DB), db_to_linear(NOISE_DB), 1),
+        **EXPERIMENT_KWARGS),
+    "fig4a-classical": lambda: ExperimentConfig(
+        protocol="single_ff", v_sq=1.0,
+        sweep_reflectivity=SweepAxis(0.0, 1.0, 41), sweep_gain=SweepAxis(0.0, 4.0, 41)),
+    "fig4b": _preset_fig3b,  # an alias: the same configuration as fig3b
+    "fig5-adversary": lambda: ExperimentConfig(
+        protocol="adversary_1", v_sq=db_to_linear(SQZ_DB), sweep_v_n=SweepAxis(0.0, 100.0, 41)),
+    "summary": lambda: ExperimentConfig(protocol="summary", **EXPERIMENT_KWARGS),
+}
 
 
 def preset_config(name: str) -> ExperimentConfig:

@@ -1,5 +1,5 @@
 """Quality measures for reconstructed states: fidelity, signal transfer,
-added noise, entanglement criteria, and detector-efficiency inference.
+added noise and entanglement criteria.
 
 A Gaussian output is fixed by its first and second moments, so every
 reconstruction metric here is a closed form of one
@@ -47,14 +47,6 @@ class MetricsReport:
     f_classical_max: float
     t_classical_max: float
     v_classical_min: float
-
-    @property
-    def beats_classical_fidelity(self) -> bool:
-        return self.fidelity > self.f_classical_max
-
-    @property
-    def beats_classical_tv(self) -> bool:
-        return self.signal_transfer > self.t_classical_max or self.added_noise < self.v_classical_min
 
 
 def fidelity(secret_means: tuple[float, float], g_plus: float, g_minus: float,
@@ -141,13 +133,6 @@ def reid_epr(epr1: QuadratureMode, epr2: QuadratureMode) -> float:
         c = covariance(a, b)
         prod *= va - (c**2 / vb if vb > 0.0 else 0.0)
     return prod
-
-
-def infer_homodyne(measured_variance: float, eta_hom: float) -> float:
-    """Invert detection loss: V = 1 + (V_measured - 1) / eta."""
-    if not 0.0 < eta_hom <= 1.0:
-        raise ValueError(f"homodyne efficiency must be in (0, 1], got {eta_hom}")
-    return 1.0 + (measured_variance - 1.0) / eta_hom
 
 
 def unity_corrected_fidelity(rep: ReconstructionReport) -> float:

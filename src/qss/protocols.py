@@ -1,5 +1,5 @@
-"""Dealer encoding, the five reconstruction protocols, adversary views
-and the classical performance bounds for the (2,3) sharing scheme.
+"""Dealer encoding, the five reconstruction protocols and the classical
+performance bounds for the (2,3) sharing scheme.
 
 The dealer hides a secret coherent state by interfering it with one arm
 of an entangled pair on a 1:1 beam splitter and adding correlated
@@ -45,7 +45,6 @@ from .modes import (
     MINUS,
     PLUS,
     LinearForm,
-    NoiseAxis,
     QuadratureMode,
     axis_names,
     classical_axis,
@@ -96,13 +95,12 @@ class DealerConfig:
 
 @dataclass
 class ShareSet:
-    """The three dealer outputs plus provenance of the noise axes."""
+    """The three dealer outputs and the secret they hide."""
 
     share1: QuadratureMode
     share2: QuadratureMode
     share3: QuadratureMode
     secret: QuadratureMode
-    axis_tags: dict[str, list[NoiseAxis]]
 
     def share(self, k: int) -> QuadratureMode:
         return {1: self.share1, 2: self.share2, 3: self.share3}[k]
@@ -156,10 +154,8 @@ def dealer_encode(cfg: DealerConfig) -> ShareSet:
     sqz2 = new_squeezed(cfg.v_sq, cfg.v_anti, PLUS, "sqz2")
     epr1, epr2 = beam_splitter(sqz1, sqz2, 0.5)
 
-    noise_p = classical_axis(cfg.v_n, "N.plus")
-    noise_m = classical_axis(cfg.v_n, "N.minus")
-    n_plus = LinearForm(0.0, {noise_p: 1.0})
-    n_minus = LinearForm(0.0, {noise_m: 1.0})
+    n_plus = LinearForm(0.0, {classical_axis(cfg.v_n, "N.plus"): 1.0})
+    n_minus = LinearForm(0.0, {classical_axis(cfg.v_n, "N.minus"): 1.0})
 
     s = 1.0 / math.sqrt(2.0)
     out1, out2 = beam_splitter(secret, epr1, 0.5)
@@ -170,17 +166,7 @@ def dealer_encode(cfg: DealerConfig) -> ShareSet:
     share1 = _add_noise(out1, n_plus, n_minus, s, s)
     share2 = _add_noise(out2, n_plus, n_minus, -s, -s)
     share3 = _add_noise(epr2, n_plus, n_minus, 1.0, -1.0)
-
-    tags = {
-        "secret": mode_axes(secret),
-        "sqz1": mode_axes(sqz1),
-        "sqz2": mode_axes(sqz2),
-        "noise_plus": [noise_p],
-        "noise_minus": [noise_m],
-    }
-    tagged = {ax for axes in tags.values() for ax in axes}
-    tags["vacuum"] = [ax for ax in mode_axes(share1, share2, share3) if ax not in tagged]
-    return ShareSet(share1, share2, share3, secret, tags)
+    return ShareSet(share1, share2, share3, secret)
 
 
 def _add_noise(mode: QuadratureMode, n_plus: LinearForm, n_minus: LinearForm, k_plus: float, k_minus: float) -> QuadratureMode:
@@ -317,22 +303,6 @@ def solve_single_ff_unity_gain(gains) -> float:
     error = "unity gain unreachable for this configuration"
     reject(abs(g_minus) < 1e-12, error)
     return _electronic_gain(g0_plus, g1_plus, 1.0 / g_minus, error)
-
-
-def adversary_view(shares: ShareSet, k: int) -> ReconstructionReport:
-    """Report on a single raw share (the adversary's best passive view)."""
-    if k not in (1, 2, 3):
-        raise ValueError("player index must be 1, 2 or 3")
-    return make_report(shares.secret, shares.share(k))
-
-
-def adversary_amplified(shares: ShareSet, k: int, amp_gain: float = math.sqrt(2.0), idler: QuadratureMode | None = None) -> QuadratureMode:
-    """Raw share passed through a phase-insensitive amplifier of
-    amplitude gain ``amp_gain`` (sqrt(2) restores unity gain for shares
-    1 and 2) with a vacuum idler unless one is supplied."""
-    if idler is None:
-        idler = new_vacuum("adv_idler")
-    return phase_insensitive_amp(shares.share(k), idler, amp_gain**2)
 
 
 def classical_bounds(g_plus: float, g_minus: float) -> tuple[float, float, float]:

@@ -25,7 +25,7 @@ from qss.components import (
     phase_sensitive_amp,
     phase_shift,
 )
-from qss.harness import ExperimentConfig, SweepAxis, build_pipeline, oracle_check, preset_config, run
+from qss.harness import ExperimentConfig, SweepAxis, oracle_check, preset_config, run
 from qss.metrics import duan_inseparability, metrics_report, reid_epr
 from qss.modes import (
     MINUS,

@@ -2,7 +2,7 @@
 
 The digests were recorded with qss 1.0's dict-of-ids mode algebra; any
 change to a float operation or to the order of a sum shows up here.
-fig3b and fig4b share a digest because their configs are the same.
+fig4b is an alias of fig3b in the preset table, so the two share a digest.
 """
 
 import hashlib

@@ -12,7 +12,6 @@ from qss.harness import (
     ConfigError,
     ExperimentConfig,
     SweepAxis,
-    build_pipeline,
     compare_mode_to_samples,
     config_from_mapping,
     oracle_check,
@@ -170,13 +169,24 @@ def test_json_output_roundtrips():
     assert all("error" not in row for row in payload["rows"])
 
 
+def _one_row(cfg, **knobs):
+    """The raw output and secret of ``cfg`` built alone at ``knobs``, with
+    its sweeps removed."""
+    cfg = dataclasses.replace(cfg, sweep_gain=None, sweep_reflectivity=None, sweep_v_n=None, **knobs)
+    live, secret, raw, _, errors = harness._build(cfg, *harness._grid(cfg))
+    assert live.tolist() == [0] and not errors
+    return raw, secret
+
+
 def test_every_protocol_has_a_builder():
     assert set(harness._BUILDERS) == set(harness.PROTOCOLS) - {"summary"}
     for name in harness._BUILDERS:
         cfg = ExperimentConfig(protocol=name)
-        pipe = build_pipeline(cfg, None, None, None)
-        assert pipe.error is None, name
-        assert (pipe.reflectivity, pipe.gain, pipe.v_n) == harness._knobs(cfg, None, None, None)
+        grid = harness._grid(cfg)
+        assert [k.tolist() for k in grid] == [[k] for k in harness._knobs(cfg)]
+        live, _, raw, corrected, errors = harness._build(cfg, *grid)
+        assert live.tolist() == [0] and errors == {}, name
+        assert (corrected is raw) == (name != "single_ff"), name
 
 
 def test_double_ff_unreachable_gain_marks_row():
@@ -188,14 +198,14 @@ def test_double_ff_unreachable_gain_marks_row():
     assert "error" in result.rows[0]
 
 
-def _row_alone(cfg, r, g, n):
-    """One row built by :func:`build_pipeline` and measured at batch 1:
-    its error message, or its metric cells."""
-    pipe = build_pipeline(cfg, r, g, n)
-    if pipe.error:
-        return pipe.error
-    raw = make_report(pipe.secret, pipe.raw)
-    rep = metrics_report(raw if pipe.corrected is pipe.raw else make_report(pipe.secret, pipe.corrected))
+def _row_alone(cfg, knobs):
+    """Row ``knobs`` (its one-entry r, g and v_n columns) built alone, on
+    floats, and measured: its error message, or its metric cells."""
+    live, secret, raw_out, corrected, errors = harness._build(cfg, *knobs)
+    if errors:
+        return errors[0]
+    raw = make_report(secret, raw_out)
+    rep = metrics_report(raw if corrected is raw_out else make_report(secret, corrected))
     f_max, t_max, v_min = classical_bounds(raw.g_plus, raw.g_minus)
     cells = {c: getattr(rep, c) for c in ("fidelity", "t_plus", "t_minus", "signal_transfer",
                                           "v_cond_plus", "v_cond_minus", "added_noise")}
@@ -228,10 +238,10 @@ BATCH_CASES = [
 @pytest.mark.parametrize("cfg", BATCH_CASES, ids=lambda cfg: cfg.protocol)
 def test_batched_sweep_matches_rows_built_alone(cfg):
     result = run(cfg)
-    grid = list(zip(*harness._grid(cfg)))
-    assert len(result.rows) == len(grid) >= 3
-    for row, knobs in zip(result.rows, grid):
-        alone = _row_alone(cfg, *knobs)
+    grid = harness._grid(cfg)
+    assert len(result.rows) == len(grid[0]) >= 3
+    for i, row in enumerate(result.rows):
+        alone = _row_alone(cfg, [k[i:i + 1] for k in grid])
         if isinstance(alone, str):
             assert row["error"] == alone
             continue
@@ -315,12 +325,25 @@ def test_oracle_passes_on_honest_pipeline():
     assert report.rows_checked == 1
 
 
+def test_oracle_skips_exactly_the_failed_rows():
+    # Rows 0, 2 and 3 are sampled; row 0 (gain 0) fails the amplifier's guard.
+    cfg = dataclasses.replace(BATCH_CASES[1], shots=10_000, oracle_rows=3)
+    report = oracle_check(cfg)
+    assert report.rows_checked == 2
+    assert sorted(report.row_z) == [2, 3]
+    result = run(cfg, with_oracle=True)
+    assert list(result.errors) == [0]
+    z = result.data["oracle_max_z"]
+    assert z[0] is None and z[1] is None
+    assert [z[2], z[3]] == [report.row_z[2], report.row_z[3]]
+    cells = [line.split(",")[-1] for line in rows_to_csv(result.columns, result.rows).splitlines()[1:]]
+    assert cells[:2] == ["", ""] and all(cells[2:])
+
+
 def test_oracle_localises_corrupted_coefficient():
     # Negative control: predictions from a deliberately corrupted mode
     # must fail against honest samples, naming the corrupted axis.
-    cfg = ExperimentConfig(protocol="pia", v_sq=0.354813, v_n=2.23872)
-    pipe = build_pipeline(cfg, None, None, None)
-    honest = pipe.raw
+    honest, _ = _one_row(ExperimentConfig(protocol="pia", v_sq=0.354813, v_n=2.23872))
     sqz = next(ax for ax in mode_axes(honest) if ax.label == "sqz2.plus")
     corrupted_coeffs = dict(honest.plus.coeffs)
     corrupted_coeffs[sqz] = corrupted_coeffs.get(sqz, 0.0) + 0.2
@@ -338,9 +361,9 @@ def test_oracle_coefficient_z_has_unit_spread():
     # The secret axes dominate the mz output, so a standard error that
     # left out the estimate's own spread would inflate their z about 7x.
     cfg = preset_config("fig3b-inset-mz")
-    pipe = build_pipeline(cfg, None, None, cfg.sweep_v_n.start)
+    raw, _ = _one_row(cfg, v_n=cfg.sweep_v_n.start)
     zs = [f.z for seed in range(40)
-          for f in compare_mode_to_samples(pipe.raw, pipe.raw, 20_000, seed)
+          for f in compare_mode_to_samples(raw, raw, 20_000, seed)
           if (f.quantity, f.axis_label) in {("coeff.plus", "secret.plus"), ("coeff.minus", "secret.minus")}]
     assert len(zs) == 80
     assert 0.7 <= statistics.stdev(zs) <= 1.3
@@ -352,42 +375,42 @@ def test_oracle_draws_only_weighted_axes(monkeypatch):
     drawn = []
     real = oracle.draw_axes
     monkeypatch.setattr(oracle, "draw_axes", lambda axes, *a: drawn.append(axes) or real(axes, *a))
-    pipe = build_pipeline(preset_config("fig3b"), None, 10.0, 0.0)
-    compare_mode_to_samples(pipe.raw, pipe.raw, 10_000, 1)
-    axes = mode_axes(pipe.raw)
+    raw, _ = _one_row(preset_config("fig3b"), gain=10.0, v_n=0.0)
+    compare_mode_to_samples(raw, raw, 10_000, 1)
+    axes = mode_axes(raw)
     assert {ax.label for ax in axes if ax not in drawn[0]} == {"N.plus", "N.minus"}
     assert drawn[0] == [ax for ax in axes if ax.variance > 0.0]
 
 
 def test_oracle_reports_identical_for_any_worker_count(monkeypatch):
     cfg = dataclasses.replace(small_adversary_config(), shots=3 * CHUNK_SHOTS + 1, oracle_rows=2)
-    pipe = build_pipeline(cfg, None, None, 10.0)
+    raw, _ = _one_row(cfg, v_n=10.0)
     runs = []
     for cpus in (1, 3):
         monkeypatch.setattr(oracle, "_usable_cpus", lambda cpus=cpus: cpus)
-        runs.append((oracle_check(cfg), compare_mode_to_samples(pipe.raw, pipe.raw, cfg.shots, 4)))
+        runs.append((oracle_check(cfg), compare_mode_to_samples(raw, raw, cfg.shots, 4)))
     assert runs[0] == runs[1]
 
 
 def test_axis_names_are_unique_when_labels_collide():
     # At gain 10, fig3b's output carries two axes labelled mm_ff_bs.plus.
-    pipe = build_pipeline(preset_config("fig3b"), None, 10.0, None)
-    assert len(mode_axes(pipe.raw)) == 19
-    names = make_report(pipe.secret, pipe.raw).coefficients
+    raw, secret = _one_row(preset_config("fig3b"), gain=10.0)
+    assert len(mode_axes(raw)) == 19
+    names = make_report(secret, raw).coefficients
     assert len(names) == 19
     assert {"mm_ff_bs.plus#1", "mm_ff_bs.plus#2", "mm_ff_bs.minus"} <= set(names)
-    findings = compare_mode_to_samples(pipe.raw, pipe.raw, 10_000, 2)
+    findings = compare_mode_to_samples(raw, raw, 10_000, 2)
     pairs = [(f.quantity, f.axis_label) for f in findings]
     assert len(pairs) == len(set(pairs)) == 4 + 2 * 19
 
 
 def test_axis_names_do_not_depend_on_earlier_builds():
     def names():
-        pipe = build_pipeline(preset_config("fig3b"), None, 10.0, None)
-        return list(make_report(pipe.secret, pipe.raw).coefficients)
+        raw, secret = _one_row(preset_config("fig3b"), gain=10.0)
+        return list(make_report(secret, raw).coefficients)
 
     first = names()
-    build_pipeline(ExperimentConfig(protocol="double_ff", v_sq=0.5, v_n=1.0), None, None, None)
+    _one_row(ExperimentConfig(protocol="double_ff", v_sq=0.5, v_n=1.0))
     assert names() == first
 
 

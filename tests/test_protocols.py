@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from qss.components import phase_shift
+from qss import harness
+from qss.components import phase_insensitive_amp, phase_shift
 from qss.metrics import metrics_report
 from qss.modes import (
-    NoiseAxis,
     commutator,
     commutator_weight,
     covariance,
@@ -18,8 +18,6 @@ from qss.modes import (
 from qss.protocols import (
     DealerConfig,
     UNITY_SINGLE_FF_GAIN,
-    adversary_amplified,
-    adversary_view,
     classical_avg_fidelity,
     classical_bounds,
     dealer_encode,
@@ -95,13 +93,24 @@ def test_shares_are_physical():
                 assert abs(commutator(x, y)) < 1e-12
 
 
-def test_axis_tags_cover_everything():
-    shares = encode()
-    tagged = set()
-    for axes in shares.axis_tags.values():
-        assert all(isinstance(ax, NoiseAxis) for ax in axes)
-        tagged.update(axes)
-    assert set(mode_axes(shares.share1, shares.share2, shares.share3)) == tagged
+def test_every_build_axis_has_an_origin_label():
+    # An axis's origin is its label, less the .plus/.minus of a quantum
+    # axis; no build leaves an axis at a default label.
+    cfgs = [harness.ExperimentConfig(protocol=name, **kw)
+            for name in harness._BUILDERS for kw in ({}, harness.EXPERIMENT_KWARGS)]
+    cfgs += [harness.ExperimentConfig(protocol="single_ff", unity_gain=True, **kw)
+             for kw in ({}, harness.EXPERIMENT_KWARGS)]
+    origins = set()
+    for cfg in cfgs:
+        live, _, raw, corrected, errors = harness._build(cfg, *harness._grid(cfg))
+        assert live.tolist() == [0] and not errors, cfg.protocol
+        for ax in mode_axes(raw, corrected):
+            origin, _, role = ax.label.rpartition(".") if ax.role else (ax.label, "", None)
+            assert role == ax.role, ax.label
+            origins.add(origin)
+    assert not origins & {"", "vac", "loss"}
+    assert origins == {"secret", "sqz1", "sqz2", "N.plus", "N.minus", "mm_epr1_in", "mm_mz", "mm_ff_bs",
+                       "hd_vac", "dark", "lo", "lo_mm", "dff_vac"}
 
 
 def test_orientation_flips_for_share2_only():
@@ -225,20 +234,18 @@ def test_double_ff_vacuum_port_cancels_at_unity():
 
 def test_adversary_single_share():
     shares = encode()
-    rep = adversary_view(shares, 1)
+    rep = make_report(shares.secret, shares.share(1))
     assert rep.g_plus == pytest.approx(1.0 / math.sqrt(2.0))
     assert rep.g_minus == pytest.approx(1.0 / math.sqrt(2.0))
-    rep3 = adversary_view(shares, 3)
+    rep3 = make_report(shares.secret, shares.share(3))
     assert rep3.g_plus == 0.0 and rep3.g_minus == 0.0
-    with pytest.raises(ValueError):
-        adversary_view(shares, 4)
 
 
 def test_adversary_amplified_saturates_classical_bound():
     # Classical dealer: an amplified single share reaches, but cannot
     # exceed, the classical fidelity bound at unity gain.
     shares = encode(v_sq=1.0, v_n=0.0)
-    out = adversary_amplified(shares, 1)
+    out = phase_insensitive_amp(shares.share(1), new_vacuum(), 2.0)
     g_p, g_m = secret_gains(shares.secret, out)
     assert g_p == pytest.approx(1.0, abs=1e-12)
     assert variance(out.plus) == pytest.approx(3.0, abs=1e-12)
