@@ -1,7 +1,11 @@
-"""Golden digests: the CSV of every preset is pinned byte for byte.
+"""Golden digests: the CSV and the JSON of every preset are pinned byte
+for byte.
 
-The digests were recorded with qss 1.0's dict-of-ids mode algebra; any
-change to a float operation or to the order of a sum shows up here.
+The CSV digests were recorded with qss 1.0's dict-of-ids mode algebra;
+any change to a float operation or to the order of a sum shows up here.
+The JSON digests were recorded from the row-dict ``json.dumps`` writer;
+JSON carries every float at full ``repr`` precision, so they also pin the
+last bits that the CSV's nine digits round away.
 fig4b is an alias of fig3b in the preset table, so the two share a digest.
 """
 
@@ -23,9 +27,21 @@ GOLDEN_CSV_SHA256 = {
     "summary": "8fa2f155dee8e6085a9671a66b5ed4f43c30fd26e58e5e3253ad9ea7e3c7929a",
 }
 
+GOLDEN_JSON_SHA256 = {
+    "fig2a": "a40c8eb20dd3fdbe26535cc8e80e625f7e5f7f73ce20f1425914c19ac95a9f69",
+    "fig2b": "27f33fad2acf8716de8ed325f007deab25a62aed8c44304a07dea2912727167c",
+    "fig3a-classical": "d15122ed1af9756014d41fb500062bbd5ff624fbcb544daebc85f9faef50c874",
+    "fig3b": "28e127fb6d3dcc3e6ce51b0fe3825bdc3c76ab06ffebd77659987115585de53a",
+    "fig3b-inset-mz": "d35048e277a30c1cbc0720c01deda008884eb50893c0d15533b88c7c904b648b",
+    "fig4a-classical": "14d570d6f44d42c3a8f93d3b6e7c401818c80392ecafb80489d6a6441a507715",
+    "fig4b": "28e127fb6d3dcc3e6ce51b0fe3825bdc3c76ab06ffebd77659987115585de53a",
+    "fig5-adversary": "6fdf7adc30f57b6ab2cf8f682fef5982736b57c1f8c630c6454c2d23bbbd3e25",
+    "summary": "9eba7b202231448411cbd4a4b7e6da0638e2af978b5f3d32f97ba93ed6e92c05",
+}
+
 
 def test_every_preset_is_pinned():
-    assert sorted(GOLDEN_CSV_SHA256) == sorted(harness.PRESETS)
+    assert sorted(GOLDEN_CSV_SHA256) == sorted(GOLDEN_JSON_SHA256) == sorted(harness.PRESETS)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
@@ -33,3 +49,10 @@ def test_preset_csv_matches_golden_digest(name):
     result = harness.run(harness.preset_config(name))
     csv = harness.rows_to_csv(result.columns, result.rows)
     assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == GOLDEN_CSV_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_JSON_SHA256))
+def test_preset_json_matches_golden_digest(name):
+    result = harness.run(harness.preset_config(name))
+    text = harness.result_to_json(result)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_JSON_SHA256[name]
