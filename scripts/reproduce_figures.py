@@ -21,7 +21,7 @@ def main() -> int:
         result = harness.run(cfg)
         path = os.path.join(out_dir, f"{name}.csv")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(harness.rows_to_csv(result.columns, result.rows))
+            fh.write(harness.rows_to_csv(result))
         extras = {k: v for k, v in result.summary.items()
                   if isinstance(v, float)}
         summary = ", ".join(f"{k}={v:.4f}" for k, v in sorted(extras.items()))

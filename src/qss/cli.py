@@ -66,6 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _load_config(args) -> ExperimentConfig:
     if getattr(args, "preset", None):
         cfg = harness.preset_config(args.preset)
@@ -100,7 +103,7 @@ def _cmd_run(args) -> int:
     if args.format == "json":
         _write(args, harness.result_to_json(result))
     else:
-        _write(args, harness.rows_to_csv(result.columns, result.rows))
+        _write(args, harness.rows_to_csv(result))
     for i, error in sorted(result.errors.items()):
         print(f"row {i}: {error}", file=sys.stderr)
     for key, value in sorted(result.summary.items()):
@@ -158,7 +161,7 @@ def _cmd_presets(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {"run": _cmd_run, "region": _cmd_region, "oracle": _cmd_oracle, "presets": _cmd_presets}
     try:
         return handlers[args.command](args)

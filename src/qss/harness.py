@@ -10,8 +10,10 @@ Every build goes through :func:`_build`: one dealer and one protocol
 build, with reflectivity, gain and v_n as arrays of the grid's rows
 (floats for one row).  Rows a guard rejects fail with the message each
 would give alone, and the rest are built again.  A sweep builds all its
-rows at once, and its results stay columns (:class:`RunResult`) until
-they are written; the oracle check builds each row it samples alone.
+rows at once, and its results stay columns (:class:`RunResult`) through
+output: the CSV is formatted column by column and the JSON rows are
+written by the C encoder.  The oracle check builds each row it samples
+alone.
 
 Configs are flat dotted-key text files (``dealer.v_sq_db = -4.5``) or
 JSON objects with the same keys.  Identical config + seed produces a
@@ -632,31 +634,38 @@ def oracle_check(cfg: ExperimentConfig) -> OracleReport:
 def _format_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         return f"{value:.9g}"
     return str(value)
 
 
-def rows_to_csv(columns: list[str], rows) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(c)) for c in columns))
-    return "\n".join(lines) + "\n"
+def _format_column(col: np.ndarray) -> list[str]:
+    if col.dtype == np.float64:
+        return [format(v, ".9g") for v in col.tolist()]
+    return [_format_cell(v) for v in col.tolist()]
+
+
+def rows_to_csv(result: RunResult) -> str:
+    """The result as CSV, written column by column from ``result.data``."""
+    cols = [_format_column(result.data[c]) for c in result.columns]
+    return "\n".join([",".join(result.columns), *map(",".join, zip(*cols))]) + "\n"
+
+
+# Writes one row as ``json.dumps(indent=2, sort_keys=True)`` does at depth
+# 2, less the braces, but with the C encoder: ``indent`` selects the
+# pure-Python one.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=True, separators=(",\n      ", ": "))
 
 
 def result_to_json(result: RunResult) -> str:
     """The rows, with an ``error`` entry on each failed one, and the
-    summary as JSON."""
-    payload = {
-        "columns": result.columns,
-        "rows": list(result.rows),
-        "summary": result.summary,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    summary as JSON: the bytes of ``json.dumps(indent=2, sort_keys=True)``."""
+    payload = {"columns": result.columns, "rows": [], "summary": result.summary}
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    if not result.rows:
+        return text
+    rows = ",\n".join(["    {\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }" for row in result.rows])
+    return text.replace('"rows": []', '"rows": [\n' + rows + "\n  ]", 1)
 
 
 def default_out_dir() -> str:

@@ -47,7 +47,7 @@ def test_every_preset_is_pinned():
 @pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
 def test_preset_csv_matches_golden_digest(name):
     result = harness.run(harness.preset_config(name))
-    csv = harness.rows_to_csv(result.columns, result.rows)
+    csv = harness.rows_to_csv(result)
     assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == GOLDEN_CSV_SHA256[name]
 
 

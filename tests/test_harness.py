@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import math
 import statistics
 import tracemalloc
 
@@ -126,19 +127,15 @@ def test_unknown_preset():
 
 def test_run_is_deterministic_and_byte_identical():
     cfg = small_adversary_config()
-    a = rows_to_csv(*_cols_rows(run(cfg)))
-    b = rows_to_csv(*_cols_rows(run(cfg)))
+    a = rows_to_csv(run(cfg))
+    b = rows_to_csv(run(cfg))
     assert a == b
     assert a.splitlines()[0].startswith("protocol,reflectivity,gain,v_n,")
 
 
-def _cols_rows(result):
-    return result.columns, result.rows
-
-
 def test_csv_uses_nine_significant_digits():
     cfg = small_adversary_config()
-    text = rows_to_csv(*_cols_rows(run(cfg)))
+    text = rows_to_csv(run(cfg))
     first = text.splitlines()[1].split(",")
     g_plus = first[4]
     assert g_plus == "0.707106781"
@@ -167,6 +164,49 @@ def test_json_output_roundtrips():
     assert payload["columns"] == result.columns
     assert len(payload["rows"]) == 5
     assert all("error" not in row for row in payload["rows"])
+
+
+def _rowwise_csv(result):
+    """The row-dict CSV writer that the column writer replaced: the
+    reference it must match byte for byte."""
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, str):
+            return value
+        if isinstance(value, float):
+            return "nan" if math.isnan(value) else f"{value:.9g}"
+        return str(value)
+    lines = [",".join(result.columns)]
+    lines += [",".join(cell(row.get(c)) for c in result.columns) for row in result.rows]
+    return "\n".join(lines) + "\n"
+
+
+def _hand_made_result():
+    """Two rows: a good one and a failed one whose reason needs escaping,
+    with a negative NaN in a float and in an object column."""
+    data = {c: np.array([0.1 + 0.2, -np.nan]) for c in harness.CSV_COLUMNS}
+    data.update(protocol=np.array(["pia", "pia"]), oracle_max_z=np.array([1.25, -math.nan], dtype=object))
+    return harness.RunResult(harness.CSV_COLUMNS, data, {"rows": 2, "failed_rows": 1},
+                             {1: 'a "quote", a \\ backslash,\na newline and \u00e9'})
+
+
+WRITER_CASES = {
+    "pia": lambda: run(ExperimentConfig(protocol="pia", v_sq=0.3, sweep_gain=SweepAxis(0.0, 3.0, 4))),
+    "summary": lambda: run(preset_config("summary")),
+    "no-rows": lambda: harness.RunResult(
+        harness.CSV_COLUMNS, {c: np.array([]) for c in harness.CSV_COLUMNS}, {"rows": 0}),
+    "hand-made": _hand_made_result,
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_writers_match_the_reference_encoders(case):
+    result = WRITER_CASES[case]()
+    assert bool(result.errors) == (case in ("pia", "hand-made"))
+    payload = {"columns": result.columns, "rows": list(result.rows), "summary": result.summary}
+    assert harness.result_to_json(result) == json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    assert rows_to_csv(result) == _rowwise_csv(result)
 
 
 def _one_row(cfg, **knobs):
@@ -248,7 +288,7 @@ def test_batched_sweep_matches_rows_built_alone(cfg):
         assert "error" not in row
         for column, value in alone.items():
             np.testing.assert_array_max_ulp(row[column], value, maxulp=4)
-    cells = [cell for line in rows_to_csv(result.columns, result.rows).splitlines() for cell in line.split(",")]
+    cells = [cell for line in rows_to_csv(result).splitlines() for cell in line.split(",")]
     assert "-0" not in cells
 
 
@@ -336,7 +376,7 @@ def test_oracle_skips_exactly_the_failed_rows():
     z = result.data["oracle_max_z"]
     assert z[0] is None and z[1] is None
     assert [z[2], z[3]] == [report.row_z[2], report.row_z[3]]
-    cells = [line.split(",")[-1] for line in rows_to_csv(result.columns, result.rows).splitlines()[1:]]
+    cells = [line.split(",")[-1] for line in rows_to_csv(result).splitlines()[1:]]
     assert cells[:2] == ["", ""] and all(cells[2:])
 
 
@@ -504,6 +544,19 @@ def test_summary_cannot_be_sampled(capsys):
     assert cli.main(["oracle", "--preset", "summary"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["config error: the summary protocol has no sweep rows to sample"] * 2
+
+
+def test_cli_parser_carries_nothing_between_calls(monkeypatch, capsys):
+    parse = cli._PARSER.parse_args
+    assert parse(["run", "--preset", "fig2a", "--with-oracle", "--format", "json"]).with_oracle
+    args = parse(["run", "--preset", "fig2a"])
+    assert args.with_oracle is False and args.format == "csv"
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--preset", "fig2a", "--config", "any.cfg"])
+        assert exc.value.code == 2
+    monkeypatch.setattr(cli, "_build_parser", lambda: pytest.fail("cli.main built a parser"))
+    assert cli.main(["presets"]) == 0
 
 
 def test_cli_seed_and_shots_override():
