@@ -108,7 +108,7 @@ def _cmd_run(args) -> int:
         print(f"row {i}: {error}", file=sys.stderr)
     for key, value in sorted(result.summary.items()):
         print(f"{key}: {value}", file=sys.stderr)
-    if result.summary.get("classical_mode") and result.bound_violations():
+    if result.summary.get("classical_mode") and result.summary["bound_violations"]:
         print("error: classical-mode run exceeds a classical bound", file=sys.stderr)
         return EXIT_BOUND_VIOLATION
     return EXIT_OK

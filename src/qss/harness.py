@@ -410,9 +410,6 @@ class RunResult:
     def rows(self) -> Rows:
         return Rows(self)
 
-    def bound_violations(self) -> list[dict]:
-        return [self.rows[i] for i in np.flatnonzero(_beyond_bounds(self.data))]
-
 
 class Rows(Sequence):
     """The rows of a :class:`RunResult`, read-only.  Each row is made on

@@ -1,31 +1,31 @@
 """Monte Carlo sampling oracle for composed modes.
 
-The oracle draws only the axes that add variance to a sampled
-quantity, in chunks of ``CHUNK_SHOTS`` shots, each from its own child
-of ``numpy.random.SeedSequence(seed)``; a chunk keeps only the moment
-sums of its fluctuations (:class:`SampleMoments`), and a quantity's mean
-is added after the sums, so a large mean does not cancel its variance.
-Chunks run on one thread per usable CPU and are summed in chunk order,
-so results are identical for any thread count.  A given seed yields
-other draws than the dict-of-arrays sampler of qss 1.0, which drew
-every axis, zero-weight ones included, from one generator.  From the
-sums, :func:`compare_mode_to_samples` estimates each axis coefficient c
-with the standard error √((R/σ² + 2c²)/n), R being the rest of the
-quadrature's variance and σ² the axis's; the 2c² term is the estimate's
-own spread, which qss 1.0 left out.
+Everything the oracle reports about n shots of the quantities X = C D,
+D holding one N(0, variance) deviate per drawn axis and shot, is a
+function of two statistics of D: its sample mean and its unbiased
+sample covariance.  For Gaussian D their joint law is exact and cheap
+to draw (Cochran's theorem): with Σ = diag(variance), the mean is
+N(0, Σ/n), and independently (n − 1) times the covariance is
+Wishart_m(n − 1, Σ), drawn by the Bartlett decomposition (Bartlett
+1933).  So :func:`draw_axes` costs O(m²) for m axes, whatever n, and
+draws nothing per shot.  Only the axes that add variance to a sampled
+quantity are drawn, and a quantity's mean is added to its sampled
+fluctuation, so a large mean does not cancel its variance.  From the
+statistics, :func:`compare_mode_to_samples` estimates each axis
+coefficient c with the standard error √((R/σ² + 2c²)/n), R being the
+rest of the quadrature's variance and σ² the axis's; the 2c² term is
+the estimate's own spread, which qss 1.0 left out.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .modes import MINUS, PLUS, NoiseAxis, QuadratureMode, axis_names, mode_axes, variance
 
-CHUNK_SHOTS = 1 << 16
 ORACLE_Z_LIMIT = 5.0
 
 
@@ -42,88 +42,28 @@ def coefficient_matrix(forms, axes) -> np.ndarray:
     return np.array([[form.coeffs.get(ax, 0.0) for ax in axes] for form in forms])
 
 
-@dataclass
-class SampleMoments:
-    """Sums over ``n_shots`` shots of the zero-mean fluctuations X = C D
-    of k sampled quantities, where D holds one N(0, variance) deviate per
-    drawn axis and shot: ΣX, X Xᵀ, X Dᵀ and ΣD."""
+def draw_axes(axes, n_shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sample mean and the unbiased sample covariance of one
+    N(0, variance) deviate per axis in ``axes`` and shot, over ``n_shots``
+    shots, drawn from their joint law with one generator seeded by
+    ``seed``.
 
-    n_shots: int
-    sum_x: np.ndarray  # (k,)
-    xx: np.ndarray  # (k, k)
-    xd: np.ndarray  # (k, m)
-    sum_d: np.ndarray  # (m,)
-
-    def __add__(self, other: "SampleMoments") -> "SampleMoments":
-        return SampleMoments(self.n_shots + other.n_shots, self.sum_x + other.sum_x, self.xx + other.xx,
-                             self.xd + other.xd, self.sum_d + other.sum_d)
-
-    def mean(self) -> np.ndarray:
-        """Sample mean of the fluctuations."""
-        return self.sum_x / self.n_shots
-
-    def covariance(self) -> np.ndarray:
-        """Unbiased sample covariance of the sampled quantities."""
-        return (self.xx - np.outer(self.sum_x, self.sum_x) / self.n_shots) / max(self.n_shots - 1, 1)
-
-    def axis_covariance(self) -> np.ndarray:
-        """Unbiased sample covariance of each quantity with each axis."""
-        return (self.xd - np.outer(self.sum_x, self.sum_d) / self.n_shots) / max(self.n_shots - 1, 1)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on Linux
-        return os.cpu_count() or 1
-
-
-def _draw_chunks(seeds, sizes, scaled: np.ndarray, std: np.ndarray,
-                 z_buf: np.ndarray, x_buf: np.ndarray) -> list[SampleMoments]:
-    """Moments of each chunk in turn.  ``scaled`` is C with each column
-    multiplied by its axis's standard deviation, so X = C D = scaled Z for
-    the standard normal draws Z; Z and X are written into the flat
-    buffers ``z_buf`` and ``x_buf``."""
-    parts = []
-    for seed, n in zip(seeds, sizes):
-        z = z_buf[: len(std) * n].reshape(len(std), n)
-        np.random.default_rng(seed).standard_normal(out=z)
-        x = np.matmul(scaled, z, out=x_buf[: len(scaled) * n].reshape(len(scaled), n))
-        parts.append(SampleMoments(n, x.sum(axis=1), x @ x.T, (x @ z.T) * std, z.sum(axis=1) * std))
-    return parts
-
-
-def draw_axes(axes, n_shots: int, seed: int, coeffs: np.ndarray) -> SampleMoments:
-    """Draw one N(0, variance) deviate per axis in ``axes`` and shot, and
-    reduce the fluctuations X = ``coeffs`` @ D to :class:`SampleMoments`.
-
-    Deterministic under ``seed`` whatever the number of worker threads:
-    chunk j of ``CHUNK_SHOTS`` shots draws from
-    ``SeedSequence(seed).spawn(n_chunks)[j]`` and chunks are summed in
-    order.  Worker w of W takes chunks w, w + W, ...; there is one worker
-    per usable CPU, because the normal fill and the matrix products
-    release the interpreter lock.  Each worker's buffers are allocated
-    here, on the calling thread, so they come from one allocator arena
-    instead of staying cached in a fresh arena per worker thread.
+    The scatter (n − 1)·cov is σ L Lᵀ σ, σ being the axes' standard
+    deviations and L lower-triangular with L_ii = √χ²(n − 1 − i) and
+    L_ij ~ N(0, 1) below the diagonal.  It is non-singular only when
+    ``n_shots`` exceeds the number of axes.
     """
-    if n_shots < 1:
-        raise ValueError("n_shots must be >= 1")
+    m = len(axes)
+    if n_shots < 2 or n_shots <= m:
+        raise ValueError(f"n_shots must be at least 2 and exceed the {m} axes drawn, got {n_shots}")
     std = np.sqrt([ax.variance for ax in axes])
-    scaled = np.asarray(coeffs, dtype=float) * std
-    sizes = [min(CHUNK_SHOTS, n_shots - start) for start in range(0, n_shots, CHUNK_SHOTS)]
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-    workers = min(len(sizes), _usable_cpus())
-    jobs = [(seeds[w::workers], sizes[w::workers], scaled, std,
-             np.empty(len(std) * sizes[0]), np.empty(len(scaled) * sizes[0])) for w in range(workers)]
-    if workers == 1:
-        parts = _draw_chunks(*jobs[0])
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # here, to keep it out of import time
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            by_worker = [f.result() for f in [pool.submit(_draw_chunks, *job) for job in jobs]]
-        parts = [by_worker[j % workers][j // workers] for j in range(len(sizes))]
-    return sum(parts[1:], start=parts[0])
+    rng = np.random.default_rng(seed)
+    mean = std * rng.standard_normal(m) / math.sqrt(n_shots)
+    lower = np.zeros((m, m))
+    lower[np.tril_indices(m, -1)] = rng.standard_normal(m * (m - 1) // 2)
+    lower[np.diag_indices(m)] = np.sqrt(rng.chisquare(n_shots - 1 - np.arange(m)))
+    scaled = std[:, None] * lower
+    return mean, scaled @ scaled.T / (n_shots - 1)
 
 
 @dataclass
@@ -146,11 +86,11 @@ def compare_mode_to_samples(predicted: QuadratureMode, sampled: QuadratureMode,
     """
     axes = weighted_axes([sampled, predicted])
     names = axis_names(axes)
-    moments = draw_axes(axes, n_shots, seed,
-                        coefficient_matrix([sampled.plus, sampled.minus], axes))
-    fluct_mean = moments.mean()
-    cov = moments.covariance()
-    axis_cov = moments.axis_covariance()
+    sampled_coeffs = coefficient_matrix([sampled.plus, sampled.minus], axes)
+    mean_d, cov_d = draw_axes(axes, n_shots, seed)
+    fluct_mean = sampled_coeffs @ mean_d
+    axis_cov = sampled_coeffs @ cov_d
+    cov = axis_cov @ sampled_coeffs.T
     findings = []
     for i, quad in enumerate((PLUS, MINUS)):
         form = predicted.quad(quad)

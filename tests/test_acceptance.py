@@ -133,7 +133,7 @@ def test_criterion_3_classical_limits():
     max_f = max(r["fidelity_unity"] for r in rows)
     max_t = max(r["signal_transfer"] for r in rows)
     min_v = min(r["added_noise"] for r in rows)
-    violations = result.bound_violations()
+    violations = result.summary["bound_violations"]
     elapsed = time.perf_counter() - start
     ok = (
         abs(max_f - 0.5) <= 1e-3
@@ -144,7 +144,7 @@ def test_criterion_3_classical_limits():
     )
     report(3, "classical limits", ok,
            f"max F {max_f:.6f}, max T {max_t:.6f}, min V {min_v:.6f}, "
-           f"{len(violations)} bound violations, {elapsed:.2f}s")
+           f"{violations} bound violations, {elapsed:.2f}s")
 
 
 def test_criterion_4_quantum_advantage_ideal():

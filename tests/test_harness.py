@@ -25,7 +25,7 @@ from qss.harness import (
 )
 from qss.metrics import metrics_report, unity_corrected_fidelity
 from qss.modes import LinearForm, QuadratureMode, mode_axes
-from qss.oracle import CHUNK_SHOTS
+from qss.oracle import weighted_axes
 from qss.protocols import classical_bounds, dealer_encode, make_report, orient_share3
 
 
@@ -422,14 +422,26 @@ def test_oracle_draws_only_weighted_axes(monkeypatch):
     assert drawn[0] == [ax for ax in axes if ax.variance > 0.0]
 
 
-def test_oracle_reports_identical_for_any_worker_count(monkeypatch):
-    cfg = dataclasses.replace(small_adversary_config(), shots=3 * CHUNK_SHOTS + 1, oracle_rows=2)
-    raw, _ = _one_row(cfg, v_n=10.0)
-    runs = []
-    for cpus in (1, 3):
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda cpus=cpus: cpus)
-        runs.append((oracle_check(cfg), compare_mode_to_samples(raw, raw, cfg.shots, 4)))
-    assert runs[0] == runs[1]
+def test_oracle_needs_more_shots_than_drawn_axes():
+    # One shot has no sample variance, and a scatter of no more shots
+    # than axes is singular.
+    raw, _ = _one_row(preset_config("fig3b"))
+    m = len(weighted_axes([raw]))
+    for n_shots in (1, m):
+        with pytest.raises(ValueError, match="n_shots"):
+            compare_mode_to_samples(raw, raw, n_shots, 0)
+    assert compare_mode_to_samples(raw, raw, m + 1, 0)
+
+
+@pytest.mark.parametrize("name, rows", [
+    ("fig2a", 3), ("fig2b", 3), ("fig3a-classical", 3), ("fig3b", 3),
+    ("fig3b-inset-mz", 1), ("fig4a-classical", 3), ("fig4b", 3), ("fig5-adversary", 3),
+])
+def test_oracle_passes_every_sweep_preset(name, rows):
+    cfg = preset_config(name)
+    assert cfg.shots == 1_000_000
+    report = oracle_check(cfg)
+    assert report.passed and report.rows_checked == rows
 
 
 def test_axis_names_are_unique_when_labels_collide():
