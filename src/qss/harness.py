@@ -23,7 +23,6 @@ byte-identical CSV.
 from __future__ import annotations
 
 import json
-import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -399,7 +398,8 @@ def _build(cfg: ExperimentConfig, r: np.ndarray, g: np.ndarray, n: np.ndarray):
 class RunResult:
     """A sweep's output as columns: ``data`` holds one array per CSV
     column, with one entry per row, and ``errors`` the reason of each
-    failed row, by row index."""
+    failed row, by row index.  ``protocol``, and ``oracle_max_z`` when no
+    row was sampled, are read-only views of one value, not copies."""
 
     columns: list[str]
     data: dict[str, np.ndarray]
@@ -464,8 +464,8 @@ def _sweep(cfg: ExperimentConfig, r: np.ndarray, g: np.ndarray, n: np.ndarray):
     reason of each failed row (see :func:`_build`)."""
     size = len(r)
     data = {c: np.full(size, np.nan) for c in CSV_COLUMNS}
-    data.update(protocol=np.full(size, cfg.protocol), reflectivity=r, gain=g, v_n=n,
-                oracle_max_z=np.full(size, None, dtype=object))
+    data.update(protocol=np.broadcast_to(np.array(cfg.protocol), size), reflectivity=r, gain=g, v_n=n,
+                oracle_max_z=np.broadcast_to(np.array(None), size))
     live, secret, raw, corrected, errors = _build(cfg, r, g, n)
     if live.size:
         raw_rep = make_report(secret, raw)
@@ -486,8 +486,8 @@ def run(cfg: ExperimentConfig, with_oracle: bool = False) -> RunResult:
     if cfg.protocol == "summary":
         return _summary_run(cfg)
     data, errors = _sweep(cfg, *_grid(cfg))
-    for idx, z in row_z.items():
-        data["oracle_max_z"][idx] = z
+    if row_z:
+        data["oracle_max_z"] = np.array([row_z.get(i) for i in range(len(data["protocol"]))], dtype=object)
     good = np.ones(len(data["protocol"]), bool)
     good[list(errors)] = False
     summary = {
@@ -552,33 +552,29 @@ def _summary_run(cfg: ExperimentConfig) -> RunResult:
 # -- accessible region -------------------------------------------------------
 
 
-def pareto_frontier(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Non-dominated (max T, min V) subset, sorted by T; ties keep the
-    lower V."""
-    best: dict[float, tuple[float, float]] = {}
-    for t, v in points:
-        if not (math.isfinite(t) and math.isfinite(v)):
-            continue
-        if t not in best or v < best[t][1]:
-            best[t] = (t, v)
-    candidates = sorted(best.values(), key=lambda p: (-p[0], p[1]))
-    frontier = []
-    min_v = math.inf
-    for t, v in candidates:
-        if v < min_v:
-            frontier.append((t, v))
-            min_v = v
-    frontier.reverse()
-    return frontier
+def pareto_frontier(t: np.ndarray, v: np.ndarray) -> list[tuple[float, float]]:
+    """Non-dominated (max T, min V) subset of the points (t[i], v[i]),
+    sorted by T; ties keep the lower V, then the earlier point.  Points
+    with a non-finite coordinate are skipped."""
+    finite = np.isfinite(t) & np.isfinite(v)
+    t, v = t[finite], v[finite]
+    order = np.lexsort((v, -t))
+    t, v = t[order], v[order]
+    # Highest T first: a point is kept when its V is below every V before it.
+    keep = np.ones(v.size, bool)
+    keep[1:] = v[1:] < np.minimum.accumulate(v)[:-1]
+    return list(zip(t[keep][::-1].tolist(), v[keep][::-1].tolist()))
 
 
 def region_boundary(cfg: ExperimentConfig) -> list[tuple[float, float]]:
     """Pareto frontier of the accessible (T, V) set over the sweep grid.
     A failed row's T and V are NaN, which the frontier skips."""
+    if cfg.protocol == "summary":
+        raise ConfigError("the summary protocol has no sweep grid to bound")
     data, errors = _sweep(cfg, *_grid(cfg))
     if len(errors) == len(data["protocol"]):
         raise ConfigError("no evaluable grid points")
-    return pareto_frontier(list(zip(data["signal_transfer"].tolist(), data["added_noise"].tolist())))
+    return pareto_frontier(data["signal_transfer"], data["added_noise"])
 
 
 # -- Monte Carlo oracle ------------------------------------------------------

@@ -28,8 +28,10 @@ from .modes import MINUS, PLUS, QuadratureMode, covariance, new_squeezed, varian
 from .protocols import ReconstructionReport, classical_bounds
 
 # libm's exp, elementwise: numpy's own float64 exp, used on CPUs with
-# AVX-512, differs by an ulp on some inputs, so results would vary by CPU.
-_exp = np.frompyfunc(math.exp, 1, 1)
+# AVX-512, differs from libm on some inputs, so results would vary by CPU.
+# Mapping math.exp over a list is faster than np.frompyfunc(math.exp).
+def _exp(x) -> np.ndarray:
+    return np.fromiter(map(math.exp, np.ravel(x).tolist()), float, np.size(x)).reshape(np.shape(x))
 
 
 @dataclass
@@ -61,8 +63,7 @@ def fidelity(secret_means: tuple[float, float], g_plus: float, g_minus: float,
     with np.errstate(all="ignore"):
         k_plus = secret_means[0] ** 2 * (1.0 - g_plus) ** 2 / (1.0 + v_out_plus)
         k_minus = secret_means[1] ** 2 * (1.0 - g_minus) ** 2 / (1.0 + v_out_minus)
-        f = (2.0 * np.asarray(_exp(-(k_plus + k_minus) / 4.0), dtype=float)
-             / np.sqrt((1.0 + v_out_plus) * (1.0 + v_out_minus)))
+        f = 2.0 * _exp(-(k_plus + k_minus) / 4.0) / np.sqrt((1.0 + v_out_plus) * (1.0 + v_out_minus))
     return np.where((g_plus == 0.0) & (g_minus == 0.0), 0.0, f)[()]
 
 
@@ -154,7 +155,7 @@ def unity_corrected_fidelity(rep: ReconstructionReport) -> float:
         added = np.abs(1.0 / gg - 1.0)
         v_plus = k * rep.v_out_plus / gg + added
         v_minus = np.where(k * gg != 0.0, rep.v_out_minus / (k * gg) + added, np.inf)[()]
-    f = fidelity((rep.secret.plus.mean, rep.secret.minus.mean), 1.0, 1.0, v_plus, v_minus)
+        f = 2.0 / np.sqrt((1.0 + v_plus) * (1.0 + v_minus))  # fidelity() at g = 1: its exponent is 0
     return np.where(positive, f, 0.0)[()]
 
 

@@ -325,18 +325,28 @@ def test_result_keeps_no_per_row_objects():
     assert sum(stat.count_diff for stat in kept.compare_to(freed, "filename")) < 1000
 
 
+def test_constant_columns_are_read_only_views():
+    result = run(preset_config("fig2a"))
+    for column, value in (("protocol", "single_ff"), ("oracle_max_z", None)):
+        col = result.data[column]
+        assert col.shape == (1681,) and col.strides == (0,) and not col.flags.writeable
+        assert col.tolist() == [value] * 1681
+    with pytest.raises(ValueError, match="read-only"):
+        result.data["protocol"][0] = "mz"
+
+
 # -- Pareto frontier ---------------------------------------------------------
 
 
 def test_pareto_frontier_dominance():
-    pts = [(1.0, 1.0), (0.5, 0.5), (1.0, 0.8), (0.2, 2.0), (0.9, 0.4)]
-    frontier = pareto_frontier(pts)
+    t, v = np.array([1.0, 0.5, 1.0, 0.2, 0.9]), np.array([1.0, 0.5, 0.8, 2.0, 0.4])
+    frontier = pareto_frontier(t, v)
     assert frontier == [(0.9, 0.4), (1.0, 0.8)]
     assert frontier == sorted(frontier)
 
 
 def test_pareto_frontier_tie_breaks_toward_lower_v():
-    frontier = pareto_frontier([(1.0, 0.6), (1.0, 0.4)])
+    frontier = pareto_frontier(np.array([1.0, 1.0]), np.array([0.6, 0.4]))
     assert frontier == [(1.0, 0.4)]
 
 
@@ -352,6 +362,16 @@ def test_region_boundary_classical_limits():
     for t, v in frontier:
         assert t <= 1.0 + 1e-9
         assert v >= 0.25 - 1e-9
+
+
+def test_region_boundary_rejects_summary():
+    with pytest.raises(ConfigError, match="summary protocol has no sweep grid"):
+        region_boundary(preset_config("summary"))
+
+
+def test_cli_region_summary_exit_code(capsys):
+    assert cli.main(["region", "--preset", "summary"]) == 2
+    assert capsys.readouterr().err == "config error: the summary protocol has no sweep grid to bound\n"
 
 
 # -- Monte Carlo oracle ------------------------------------------------------
@@ -374,10 +394,13 @@ def test_oracle_skips_exactly_the_failed_rows():
     result = run(cfg, with_oracle=True)
     assert list(result.errors) == [0]
     z = result.data["oracle_max_z"]
-    assert z[0] is None and z[1] is None
+    assert z[0] is None and z[1] is None and z.flags.writeable
     assert [z[2], z[3]] == [report.row_z[2], report.row_z[3]]
     cells = [line.split(",")[-1] for line in rows_to_csv(result).splitlines()[1:]]
     assert cells[:2] == ["", ""] and all(cells[2:])
+    # When the only sampled row fails there is nothing to fill: the column stays a read-only view.
+    z = run(dataclasses.replace(cfg, oracle_rows=1), with_oracle=True).data["oracle_max_z"]
+    assert z.tolist() == [None] * 4 and not z.flags.writeable
 
 
 def test_oracle_localises_corrupted_coefficient():

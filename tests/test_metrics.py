@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from qss import harness
 from qss.components import epr_pair, loss, phase_insensitive_amp, phase_sensitive_amp, phase_shift
 from qss.harness import preset_config
 from qss.metrics import (
+    _exp,
     conditional_variance,
     duan_inseparability,
     fidelity,
@@ -191,7 +193,53 @@ def test_unity_corrected_fidelity_matches_composition(g_plus, g_minus, v_plus, v
     s = new_coherent(5.0, 5.0)
     out = linear_combine([(g_plus, g_minus, s), (math.sqrt(v_plus), math.sqrt(v_minus), new_vacuum())])
     expect = composed_unity_fidelity(s, out)
-    assert unity_corrected_fidelity(make_report(s, out)) == pytest.approx(expect, abs=1e-12)
+    rep = make_report(s, out)
+    assert unity_corrected_fidelity(rep) == pytest.approx(expect, abs=1e-12)
+    assert _bits(unity_corrected_fidelity(rep)) == _bits(_unity_fidelity_through_fidelity(rep))
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_exp_is_libm_exp_bit_for_bit():
+    # Underflow starts near -708 (subnormals) and reaches 0 below -745.
+    special = [-0.0, 0.0, math.nan, -math.inf, -1e-300, -708.5, -744.0, -745.2, -800.0, 5.0]
+    values = np.array(special + np.linspace(-30.0, 0.0, 1681).tolist())
+    for x in values.tolist():
+        assert _exp(x).shape == ()
+        assert _bits(_exp(x)) == _bits(math.exp(x))
+    for shape in ((values.size,), (89, 19)):
+        got = _exp(values.reshape(shape))
+        assert got.shape == shape and got.dtype == np.float64
+        assert (_bits(got).ravel() == _bits([math.exp(x) for x in values.tolist()])).all()
+    assert _exp(np.array([])).shape == (0,)
+
+
+def _unity_fidelity_through_fidelity(rep):
+    """``unity_corrected_fidelity`` as it was written before its closed
+    form: the unity-gain variances handed to ``fidelity`` at g+ = g- = 1."""
+    with np.errstate(all="ignore"):
+        positive = rep.g_plus * rep.g_minus > 0.0
+        g_p, g_m = (np.where(positive, g, 1.0)[()] for g in (rep.g_plus, rep.g_minus))
+        gg = g_p * g_m
+        k = g_m / g_p
+        added = np.abs(1.0 / gg - 1.0)
+        v_plus = k * rep.v_out_plus / gg + added
+        v_minus = np.where(k * gg != 0.0, rep.v_out_minus / (k * gg) + added, np.inf)[()]
+    f = fidelity((rep.secret.plus.mean, rep.secret.minus.mean), 1.0, 1.0, v_plus, v_minus)
+    return np.where(positive, f, 0.0)[()]
+
+
+@pytest.mark.parametrize("name", sorted(set(harness.PRESETS) - {"summary"}))
+def test_unity_corrected_fidelity_is_fidelity_at_unity_gain_bit_for_bit(name):
+    cfg = preset_config(name)
+    _, secret, raw, _, _ = harness._build(cfg, *harness._grid(cfg))
+    rep = make_report(secret, raw)
+    got, want = unity_corrected_fidelity(rep), _unity_fidelity_through_fidelity(rep)
+    assert (_bits(got) == _bits(want)).all()
+    if name in ("fig2a", "fig2b", "fig4a-classical"):  # their gain-0 rows have g+ g- = 0
+        assert (rep.g_plus * rep.g_minus == 0.0).sum() == 41
 
 
 @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig3b", "fig4a-classical"])
