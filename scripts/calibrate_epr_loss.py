@@ -3,6 +3,10 @@
 measured inseparability value, and report the resulting entanglement
 criteria.
 
+A loss eta on both arms of a pair squeezed to V_sq gives the Duan value
+d = eta V_sq + 1 - eta, so the fit is the closed form
+eta = (1 - d) / (1 - V_sq), defined for 0 < V_sq < 1 and V_sq <= d <= 1.
+
 Usage:
     python3 scripts/calibrate_epr_loss.py [TARGET_DUAN] [SQUEEZING_DB]
 

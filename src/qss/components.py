@@ -138,6 +138,11 @@ def displace(target: QuadratureMode, quadrature: str, signal: LinearForm, gain: 
     return QuadratureMode(shifted, target.minus) if quadrature == PLUS else QuadratureMode(target.plus, shifted)
 
 
+def _require_mirror(mirror_reflectivity: float):
+    if not 0.0 < mirror_reflectivity < 1.0:
+        raise ValueError(f"mirror reflectivity must be in (0, 1), got {mirror_reflectivity}")
+
+
 def lo_displace(
     target: QuadratureMode,
     quadrature: str,
@@ -155,10 +160,28 @@ def lo_displace(
     a 1-R vacuum admixture.  ``aux_eta`` models mode mismatch between the
     local oscillator and the target beam.
     """
-    if not 0.0 < mirror_reflectivity < 1.0:
-        raise ValueError(f"mirror reflectivity must be in (0, 1), got {mirror_reflectivity}")
+    _require_mirror(mirror_reflectivity)
     aux = displace(new_vacuum("lo"), quadrature, signal, gain)
     if aux_eta < 1.0:
         aux = loss(aux, aux_eta, "lo_mm")
     out, _ = beam_splitter(target, aux, mirror_reflectivity)
     return out
+
+
+def feed_forward(target: QuadratureMode, quadrature: str, signal: LinearForm, gain: float,
+                 mirror_reflectivity: float | None = None, aux_eta: float = 1.0) -> QuadratureMode:
+    """Feed ``gain * signal`` forward onto one quadrature of ``target``:
+    an ideal :func:`displace`, or :func:`lo_displace` when a mirror is set."""
+    if mirror_reflectivity is None:
+        return displace(target, quadrature, signal, gain)
+    return lo_displace(target, quadrature, signal, gain, mirror_reflectivity, aux_eta)
+
+
+def feed_forward_scale(mirror_reflectivity: float | None = None, aux_eta: float = 1.0) -> tuple[float, float]:
+    """The linear map of :func:`feed_forward` as ``(k_t, k_s)``: it takes a
+    coefficient c of the target to ``k_t * c`` on both quadratures, plus
+    ``gain * k_s * s`` on the fed one for a coefficient s of the signal."""
+    if mirror_reflectivity is None:
+        return 1.0, 1.0
+    _require_mirror(mirror_reflectivity)
+    return math.sqrt(mirror_reflectivity), math.sqrt((1.0 - mirror_reflectivity) * aux_eta)

@@ -23,6 +23,7 @@ byte-identical CSV.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -52,8 +53,6 @@ from .protocols import (
     reconstruct_pia,
     reconstruct_single_ff,
     reconstruct_two_opa,
-    secret_gains,
-    solve_single_ff_unity_gain,
 )
 
 BOUND_TOL = 1e-9
@@ -146,6 +145,8 @@ class ExperimentConfig:
             raise ConfigError("shots must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.oracle_rows < 1:
+            raise ConfigError(f"oracle rows must be >= 1, got {self.oracle_rows}")
         for key, eta in (("dealer.eta_epr1_in", self.eta_epr1_in), ("efficiencies.mz", self.eta_mz),
                          ("efficiencies.recon_bs", self.eta_recon_bs), ("efficiencies.lo", self.eta_lo),
                          ("detector.eta_ff", self.eta_ff)):
@@ -153,7 +154,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be in (0, 1], got {eta}")
         v_n_range = (self.sweep_v_n.start, self.sweep_v_n.stop) if self.sweep_v_n else ()
         v_n_low = min((self.v_n, *v_n_range))
-        if v_n_low < 0.0:
+        if not v_n_low >= 0.0:
             raise ConfigError(f"classical noise variance must be >= 0, got {v_n_low}")
         if self.secret_mean_plus == 0.0 or self.secret_mean_minus == 0.0:
             raise ConfigError("secret means must be nonzero: signal transfer is undefined for a zero mean")
@@ -203,6 +204,13 @@ def _integer(value) -> int:
     raise ConfigError(f"expected an integer, got {value!r}")
 
 
+def _finite(value) -> float:
+    """A float that is neither NaN nor infinite."""
+    if math.isfinite(number := float(value)):
+        return number
+    raise ConfigError(f"expected a finite number, got {value!r}")
+
+
 def _cast(key: str, caster, value):
     """``caster(value)``, naming ``key`` in a :class:`ConfigError`."""
     try:
@@ -214,25 +222,27 @@ def _cast(key: str, caster, value):
 _SCALAR_KEYS = {
     "protocol.name": ("protocol", str),
     "protocol.player": ("player", _integer),
-    "protocol.reflectivity": ("reflectivity", float),
-    "protocol.gain": ("gain", float),
+    "protocol.reflectivity": ("reflectivity", _finite),
+    "protocol.gain": ("gain", _finite),
     "protocol.unity_gain": ("unity_gain", _boolean),
-    "protocol.mirror_r": ("mirror_r", float),
-    "dealer.v_sq": ("v_sq", float),
-    "dealer.v_anti": ("v_anti", float),
-    "dealer.v_n": ("v_n", float),
-    "dealer.eta_epr1_in": ("eta_epr1_in", float),
-    "secret.mean_plus": ("secret_mean_plus", float),
-    "secret.mean_minus": ("secret_mean_minus", float),
-    "efficiencies.mz": ("eta_mz", float),
-    "efficiencies.recon_bs": ("eta_recon_bs", float),
-    "efficiencies.lo": ("eta_lo", float),
-    "detector.eta_ff": ("eta_ff", float),
-    "detector.dark_noise": ("dark_noise", float),
+    "protocol.mirror_r": ("mirror_r", _finite),
+    "dealer.v_sq": ("v_sq", _finite),
+    "dealer.v_anti": ("v_anti", _finite),
+    "dealer.v_n": ("v_n", _finite),
+    "dealer.eta_epr1_in": ("eta_epr1_in", _finite),
+    "secret.mean_plus": ("secret_mean_plus", _finite),
+    "secret.mean_minus": ("secret_mean_minus", _finite),
+    "efficiencies.mz": ("eta_mz", _finite),
+    "efficiencies.recon_bs": ("eta_recon_bs", _finite),
+    "efficiencies.lo": ("eta_lo", _finite),
+    "detector.eta_ff": ("eta_ff", _finite),
+    "detector.dark_noise": ("dark_noise", _finite),
     "oracle.shots": ("shots", _integer),
     "oracle.seed": ("seed", _integer),
     "oracle.rows": ("oracle_rows", _integer),
 }
+# A dB twin sets the field of its linear key from a level in dB.
+_SCALAR_KEYS.update({db: (_SCALAR_KEYS[key][0], lambda v: db_to_linear(_finite(v))) for key, db in _DB_PAIRS.items()})
 
 _SWEEP_KEYS = {"sweep.gain": "sweep_gain", "sweep.reflectivity": "sweep_reflectivity", "sweep.v_n": "sweep_v_n"}
 
@@ -267,11 +277,12 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config_file(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        return json.loads(text)
-    return parse_config_text(text)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        return json.loads(text) if text.lstrip().startswith("{") else parse_config_text(text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
@@ -281,25 +292,19 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         if linear_key in mapping and db_key in mapping:
             raise ConfigError(f"{linear_key} and {db_key} are mutually exclusive")
     for key, value in mapping.items():
-        if key in _DB_PAIRS.values():
-            linear_key = next(k for k, v in _DB_PAIRS.items() if v == key)
-            attr, _ = _SCALAR_KEYS[linear_key]
-            kwargs[attr] = db_to_linear(float(value))
-            continue
         if key in _SCALAR_KEYS:
             attr, caster = _SCALAR_KEYS[key]
             kwargs[attr] = _cast(key, caster, value)
             continue
         parts = key.rsplit(".", 1)
         if len(parts) == 2 and parts[0] in _SWEEP_KEYS and parts[1] in ("start", "stop", "steps"):
-            sweeps.setdefault(parts[0], {})[parts[1]] = value
+            sweeps.setdefault(parts[0], {})[parts[1]] = _cast(key, _integer if parts[1] == "steps" else _finite, value)
             continue
         raise ConfigError(f"unknown config key {key!r}")
     for sweep_key, fields in sweeps.items():
         if "start" not in fields or "stop" not in fields:
             raise ConfigError(f"{sweep_key} needs start and stop")
-        steps = {"steps": _cast(f"{sweep_key}.steps", _integer, fields["steps"])} if "steps" in fields else {}
-        kwargs[_SWEEP_KEYS[sweep_key]] = SweepAxis(float(fields["start"]), float(fields["stop"]), **steps)
+        kwargs[_SWEEP_KEYS[sweep_key]] = SweepAxis(**fields)
     try:
         return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -329,15 +334,9 @@ def _knobs(cfg: ExperimentConfig) -> tuple[float, float, float]:
 
 
 def _build_single_ff(cfg: ExperimentConfig, shares, share_a, r: float, g: float):
-    def run_ff(g_elec: float) -> QuadratureMode:
-        return reconstruct_single_ff(
-            share_a, shares.share3, r, g_elec,
-            det=cfg.detector(), mirror_reflectivity=cfg.mirror_r,
-            eta_bs=cfg.eta_recon_bs, eta_lo=cfg.eta_lo)
-
-    if cfg.unity_gain:
-        g = solve_single_ff_unity_gain(lambda ge: secret_gains(shares.secret, run_ff(ge)))
-    out = run_ff(g)
+    out = reconstruct_single_ff(share_a, shares.share3, r, None if cfg.unity_gain else g, det=cfg.detector(),
+                                mirror_reflectivity=cfg.mirror_r, eta_bs=cfg.eta_recon_bs, eta_lo=cfg.eta_lo,
+                                secret=shares.secret)
     return out, parametric_correction(out)
 
 
@@ -599,7 +598,7 @@ def oracle_check(cfg: ExperimentConfig) -> OracleReport:
         raise ConfigError("oracle needs at least 10^4 shots")
     grid = _grid(cfg)
     size = grid[0].size
-    n_check = max(1, min(cfg.oracle_rows, size))
+    n_check = min(cfg.oracle_rows, size)
     idx = sorted({round(i * (size - 1) / max(n_check - 1, 1)) for i in range(n_check)})
     findings: list[OracleFinding] = []
     row_z: dict[int, float] = {}

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .components import epr_pair, loss
-from .modes import MINUS, PLUS, QuadratureMode, covariance, new_squeezed, variance
+from .modes import MINUS, PLUS, QuadratureMode, covariance, variance
 from .protocols import ReconstructionReport, classical_bounds
 
 # libm's exp, elementwise: numpy's own float64 exp, used on CPUs with
@@ -102,27 +101,16 @@ def duan_inseparability(epr1: QuadratureMode, epr2: QuadratureMode) -> float:
     return math.sqrt(best[0] * best[1])
 
 
-def fit_symmetric_epr_loss(target_duan: float, v_sq: float, v_anti: float | None = None,
-                           tol: float = 1e-6) -> float:
+def fit_symmetric_epr_loss(target_duan: float, v_sq: float) -> float:
     """Efficiency eta, applied to both entangled beams, that reproduces a
-    measured inseparability value (calibration fit, not ground truth)."""
+    measured inseparability value (calibration fit, not ground truth).
 
-    def duan_at(eta: float) -> float:
-        s1 = new_squeezed(v_sq, v_anti, MINUS, "s1")
-        s2 = new_squeezed(v_sq, v_anti, PLUS, "s2")
-        e1, e2 = epr_pair(s1, s2)
-        return duan_inseparability(loss(e1, eta), loss(e2, eta))
-
-    lo, hi = 0.0, 1.0
-    if not duan_at(0.0) >= target_duan >= duan_at(1.0):
-        raise ValueError("target inseparability is outside the reachable range")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if duan_at(mid) > target_duan:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    Such a loss gives the pair the Duan value d = eta V_sq + 1 - eta,
+    whatever its anti-squeezing, so eta = (1 - d) / (1 - V_sq).
+    """
+    if not (0.0 < v_sq < 1.0 and v_sq <= target_duan <= 1.0):
+        raise ValueError(f"target inseparability {target_duan} is outside the reachable range at V_sq = {v_sq}")
+    return (1.0 - target_duan) / (1.0 - v_sq)
 
 
 def reid_epr(epr1: QuadratureMode, epr2: QuadratureMode) -> float:

@@ -33,8 +33,9 @@ from .components import (
     IDEAL_DETECTOR,
     beam_splitter,
     displace,
+    feed_forward,
+    feed_forward_scale,
     homodyne,
-    lo_displace,
     loss,
     phase_insensitive_amp,
     phase_sensitive_amp,
@@ -219,27 +220,34 @@ def reconstruct_single_ff(
     share_a: QuadratureMode,
     share3: QuadratureMode,
     reflectivity: float = SINGLE_FF_REFLECTIVITY,
-    g_elec: float = UNITY_SINGLE_FF_GAIN,
+    g_elec: float | None = UNITY_SINGLE_FF_GAIN,
     det: DetectorSpec = IDEAL_DETECTOR,
     mirror_reflectivity: float | None = None,
     eta_bs: float = 1.0,
     eta_lo: float = 1.0,
+    secret: QuadratureMode | None = None,
 ) -> QuadratureMode:
     """{1,3}/{2,3} group: interfere the shares (2:1 is optimal), measure
     X+ of one output and feed it forward onto X+ of the other.
 
     With ``mirror_reflectivity`` set, the displacement is applied via a
     modulated local oscillator on a highly reflective mirror instead of
-    an ideal displacement.
+    an ideal displacement.  With ``g_elec`` None, the electronic gain is
+    solved for g+ g- = 1 (against the axis coefficients of ``secret``).
     """
     b, c = beam_splitter(share_a, orient_share3(share_a, share3), reflectivity)
     if eta_bs < 1.0:
         b = loss(b, eta_bs, "mm_ff_bs")
         c = loss(c, eta_bs, "mm_ff_bs")
     sig = homodyne(c, PLUS, det)
-    if mirror_reflectivity is None:
-        return displace(b, PLUS, sig, g_elec)
-    return lo_displace(b, PLUS, sig, g_elec, mirror_reflectivity, aux_eta=eta_lo)
+    if g_elec is None:
+        k_t, k_s = feed_forward_scale(mirror_reflectivity, eta_lo)
+        b_plus, b_minus = secret_gains(secret, b)
+        s_plus, _ = secret_gains(secret, QuadratureMode(sig, sig))  # the photocurrent's coefficient
+        error = "unity gain unreachable for this configuration"
+        reject(abs(k_t * b_minus) < 1e-12, error)
+        g_elec = _electronic_gain(k_t * b_plus, k_s * s_plus, 1.0 / (k_t * b_minus), error)
+    return feed_forward(b, PLUS, sig, g_elec, mirror_reflectivity, eta_lo)
 
 
 def parametric_correction(mode: QuadratureMode) -> QuadratureMode:
@@ -261,48 +269,30 @@ def reconstruct_double_ff(
     One share is split against vacuum (1:1 is optimal), the transmitted
     beam interferes with share 3, X+ and X- of the two outputs are
     measured, and the retained beam is displaced on both quadratures.
-    Electronic gains are solved internally (against the secret's axis
-    coefficients) so the achieved optical gain equals ``g_target`` on
-    both quadratures.
+    Electronic gains are solved (against the secret's axis coefficients)
+    so the achieved optical gain equals ``g_target`` on both quadratures.
     """
-    s3 = orient_share3(share_a, share3)
-
-    def build(g_plus_elec: float, g_minus_elec: float) -> QuadratureMode:
-        b, kept = beam_splitter(share_a, new_vacuum("dff_vac"), reflectivity)
-        e, d = beam_splitter(b, s3, 0.5)
-        sig_p = homodyne(d, PLUS, det)
-        sig_m = homodyne(e, MINUS, det)
-        if mirror_reflectivity is None:
-            out = displace(kept, PLUS, sig_p, g_plus_elec)
-            return displace(out, MINUS, sig_m, g_minus_elec)
-        out = lo_displace(kept, PLUS, sig_p, g_plus_elec, mirror_reflectivity)
-        return lo_displace(out, MINUS, sig_m, g_minus_elec, mirror_reflectivity)
-
-    g0 = secret_gains(secret, build(0.0, 0.0))
-    g1 = secret_gains(secret, build(1.0, 1.0))
+    b, kept = beam_splitter(share_a, new_vacuum("dff_vac"), reflectivity)
+    e, d = beam_splitter(b, orient_share3(share_a, share3), 0.5)
+    sig_p = homodyne(d, PLUS, det)
+    sig_m = homodyne(e, MINUS, det)
+    k_t, k_s = feed_forward_scale(mirror_reflectivity)
+    kept_plus, kept_minus = secret_gains(secret, kept)
+    s_plus, s_minus = secret_gains(secret, QuadratureMode(sig_p, sig_m))  # the photocurrents' coefficients
     error = ("optical gain {} is unreachable at reflectivity {}", g_target, reflectivity)
-    return build(*(_electronic_gain(a, b, g_target, *error) for a, b in zip(g0, g1)))
+    # Both displacements scale the kept beam by k_t; the X- one also scales the X+ feed-forward.
+    g_plus = _electronic_gain(k_t * k_t * kept_plus, k_t * k_s * s_plus, g_target, *error)
+    g_minus = _electronic_gain(k_t * k_t * kept_minus, k_s * s_minus, g_target, *error)
+    return feed_forward(feed_forward(kept, PLUS, sig_p, g_plus, mirror_reflectivity),
+                        MINUS, sig_m, g_minus, mirror_reflectivity)
 
 
-def _electronic_gain(g0: float, g1: float, target: float, *error) -> float:
-    """Electronic gain at which an optical gain that is affine in it,
-    ``g0`` at electronic gain 0 and ``g1`` at 1, equals ``target``;
-    ``error`` is the :func:`~qss.components.reject` message and values."""
-    slope = g1 - g0
+def _electronic_gain(offset: float, slope: float, target: float, *error) -> float:
+    """Electronic gain g at which an optical gain ``offset + g * slope``
+    equals ``target``; ``error`` is the :func:`~qss.components.reject`
+    message and values."""
     reject(abs(slope) < 1e-12, *error)
-    return (target - g0) / slope
-
-
-def solve_single_ff_unity_gain(gains) -> float:
-    """Electronic gain achieving g+ g- = 1 for a linear pipeline.
-
-    ``gains(g_elec)`` must return the optical gains (g+, g-); g+ is
-    affine in the electronic gain, g- is fixed by the splitter.
-    """
-    (g0_plus, g_minus), (g1_plus, _) = gains(0.0), gains(1.0)
-    error = "unity gain unreachable for this configuration"
-    reject(abs(g_minus) < 1e-12, error)
-    return _electronic_gain(g0_plus, g1_plus, 1.0 / g_minus, error)
+    return (target - offset) / slope
 
 
 def classical_bounds(g_plus: float, g_minus: float) -> tuple[float, float, float]:

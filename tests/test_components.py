@@ -9,6 +9,8 @@ from qss.components import (
     beam_splitter,
     displace,
     epr_pair,
+    feed_forward,
+    feed_forward_scale,
     homodyne,
     lo_displace,
     loss,
@@ -19,6 +21,7 @@ from qss.components import (
 from qss.modes import (
     MINUS,
     PLUS,
+    LinearForm,
     commutator,
     commutator_weight,
     covariance,
@@ -181,3 +184,32 @@ def test_lo_displace_attenuates_carrier():
     assert abs(commutator_weight(out) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         lo_displace(target, PLUS, sig, 1.0, 1.0)
+
+
+_GAINS = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(quad=st.sampled_from([PLUS, MINUS]), gain=_GAINS, s=st.floats(0.1, 10.0),
+       mirror=st.one_of(st.none(), st.floats(1e-9, 1.0 - 1e-9)),
+       aux_eta=st.one_of(st.just(1.0), st.floats(1e-3, 1.0, exclude_max=True)))
+def test_feed_forward_scale_is_the_map_of_displace_and_lo_displace(quad, gain, s, mirror, aux_eta):
+    target = new_coherent(1.5, -0.5, "target")
+    source = new_coherent(2.0, 0.0, "source")
+    signal = LinearForm(s * source.plus.mean, {ax: s for ax in source.plus.coeffs})
+    out = feed_forward(target, quad, signal, gain, mirror, aux_eta)
+    k_t, k_s = feed_forward_scale(mirror, aux_eta)
+    if mirror is None:
+        assert (k_t, k_s) == (1.0, 1.0)
+    for form_in, form_out in ((target.plus, out.plus), (target.minus, out.minus)):
+        (ax, c), = form_in.coeffs.items()
+        assert form_out.coeffs[ax] == pytest.approx(k_t * c, rel=1e-15, abs=0.0)
+    (ax_s,) = signal.coeffs
+    assert out.quad(quad).coeffs.get(ax_s, 0.0) == pytest.approx(gain * k_s * s, rel=1e-15, abs=0.0)
+    assert ax_s not in out.quad(MINUS if quad == PLUS else PLUS).coeffs
+
+
+def test_feed_forward_scale_rejects_an_open_or_closed_mirror():
+    for r in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"^mirror reflectivity must be in \(0, 1\), got"):
+            feed_forward_scale(r)

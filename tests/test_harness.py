@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qss import cli, harness, oracle
+from qss import cli, harness, oracle, protocols
 from qss.harness import (
     ConfigError,
     ExperimentConfig,
@@ -272,6 +272,9 @@ BATCH_CASES = [
                      sweep_gain=SweepAxis(0.5, 1.5, 3)),
     ExperimentConfig(protocol="adversary_1", v_sq=0.3, sweep_v_n=SweepAxis(0.0, 3.0, 3)),
     ExperimentConfig(protocol="adversary_3", v_sq=0.3, sweep_v_n=SweepAxis(0.0, 3.0, 3)),
+    # Unity gain without a mirror, through a lossy splitter and a noisy detector.
+    ExperimentConfig(protocol="single_ff", unity_gain=True, v_sq=0.3, v_n=1.0, eta_recon_bs=0.97, eta_ff=0.93,
+                     dark_noise=0.05, sweep_reflectivity=SweepAxis(0.0, 1.0, 5)),
 ]
 
 
@@ -298,6 +301,23 @@ def test_batched_sweeps_fail_the_guarded_rows():
     assert two_opa == {0: "amplifying gain must be > 0, got 0.0"}
     assert double_ff == {i: f"optical gain {g} is unreachable at reflectivity 0.0"
                          for i, g in enumerate((0.5, 1.0, 1.5))}
+    for i in (5, 10):
+        assert run(BATCH_CASES[i]).errors == dict.fromkeys((0, 4), "unity gain unreachable for this configuration")
+
+
+@pytest.mark.parametrize("cfg, homodynes", [
+    (ExperimentConfig(protocol="single_ff", unity_gain=True, sweep_reflectivity=SweepAxis(0.1, 0.9, 3),
+                      **harness.EXPERIMENT_KWARGS), 1),
+    (ExperimentConfig(protocol="single_ff", unity_gain=True), 1),
+    (ExperimentConfig(protocol="double_ff", mirror_r=50.0 / 51.0, eta_ff=0.93, dark_noise=0.05,
+                      sweep_gain=SweepAxis(0.5, 1.5, 3)), 2),
+], ids=["single_ff-sweep", "single_ff-row", "double_ff-sweep"])
+def test_feed_forward_gain_solves_measure_once_per_build(monkeypatch, cfg, homodynes):
+    # The solved gains are read off the one build: no build at trial gains.
+    calls, homodyne = [], protocols.homodyne
+    monkeypatch.setattr(protocols, "homodyne", lambda *args: calls.append(args) or homodyne(*args))
+    live, *_ = harness._build(cfg, *harness._grid(cfg))
+    assert live.size == harness._grid(cfg)[0].size and len(calls) == homodynes
 
 
 def test_share3_flips_partway_through_a_classical_noise_sweep():
@@ -530,6 +550,18 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b'{"protocol.name": "mz",\n', "Expecting property name enclosed in double quotes"),
+    (b"protocol.name = mz\n# caf\xe9\n", "'utf-8' codec can't decode byte 0xe9"),
+], ids=["malformed-json", "not-utf-8"])
+def test_cli_undecodable_config_exit_code(tmp_path, capsys, content, reason):
+    cfg = tmp_path / "undecodable.cfg"
+    cfg.write_bytes(content)
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: {cfg}: {reason}")
+
+
 def test_cli_oracle_failure_exit_code(monkeypatch, capsys):
     failed = harness.OracleReport(False, 9.0, "variance.plus", [], {}, 1)
     monkeypatch.setattr(harness, "oracle_check", lambda cfg: failed)
@@ -648,3 +680,25 @@ def test_cli_non_integer_count_exit_code(tmp_path, capsys, text, message):
     cfg.write_text(text + "\n")
     assert cli.main(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+
+
+@pytest.mark.parametrize("rows", [0, -2])
+def test_cli_oracle_rows_below_one_exit_code(tmp_path, capsys, rows):
+    # Non-positive row counts used to be clamped to one checked row.
+    cfg = tmp_path / "rows.cfg"
+    cfg.write_text(f"protocol.name = mz\noracle.rows = {rows}\n")
+    assert cli.main(["oracle", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: oracle rows must be >= 1, got {rows}"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["dealer.v_n", "secret.mean_plus", "protocol.gain", "dealer.v_n_db",
+                                 "sweep.gain.start", "sweep.gain.stop"])
+def test_cli_non_finite_number_exit_code(tmp_path, capsys, key, value, fmt):
+    # NaN used to pass as a value and fill the output with NaN cells.
+    mapping = {"protocol.name": "pia", "sweep.gain.start": 1.0, "sweep.gain.stop": 2.0, key: value}
+    cfg = tmp_path / "finite.cfg"
+    cfg.write_text(json.dumps(mapping) if fmt == "json" else "".join(f"{k} = {v}\n" for k, v in mapping.items()))
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {key}: expected a finite number, got {value!r}"]

@@ -13,6 +13,7 @@ from qss.metrics import (
     conditional_variance,
     duan_inseparability,
     fidelity,
+    fit_symmetric_epr_loss,
     metrics_report,
     reid_epr,
     signal_transfer,
@@ -252,3 +253,16 @@ def test_unity_corrected_fidelity_matches_composition_on_presets(name):
         worst = max(worst, abs(unity_corrected_fidelity(make_report(secret, raw))
                                - composed_unity_fidelity(secret, raw)))
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("target, v_sq", [(0.44, 10.0 ** -0.45), (0.9, 0.5), (0.2, 0.1), (0.5, 0.5), (1.0, 0.3)])
+def test_fitted_epr_loss_reproduces_its_target(target, v_sq):
+    eta = fit_symmetric_epr_loss(target, v_sq)
+    e1, e2 = epr_pair(new_squeezed(v_sq, None, MINUS), new_squeezed(v_sq, None, PLUS))
+    assert duan_inseparability(loss(e1, eta), loss(e2, eta)) == pytest.approx(target, abs=1e-15)
+
+
+@pytest.mark.parametrize("target, v_sq", [(1.0, 1.0), (0.3, 0.5), (1.1, 0.5), (0.5, 0.0)])
+def test_epr_loss_fit_rejects_what_no_loss_reaches(target, v_sq):
+    with pytest.raises(ValueError, match="outside the reachable range"):
+        fit_symmetric_epr_loss(target, v_sq)

@@ -4,12 +4,13 @@ import random
 import pytest
 
 from qss import harness
-from qss.components import phase_insensitive_amp, phase_shift
+from qss.components import DetectorSpec, IDEAL_DETECTOR, phase_insensitive_amp, phase_shift
 from qss.metrics import metrics_report
 from qss.modes import (
     commutator,
     commutator_weight,
     covariance,
+    db_to_linear,
     mode_axes,
     new_coherent,
     new_vacuum,
@@ -30,7 +31,6 @@ from qss.protocols import (
     reconstruct_single_ff,
     reconstruct_two_opa,
     secret_gains,
-    solve_single_ff_unity_gain,
 )
 
 V_SQ = 0.354813  # -4.5 dB
@@ -193,34 +193,70 @@ def test_single_ff_unity_electronic_gain():
 
 def test_solve_single_ff_unity_gain_with_losses():
     shares = encode()
-
-    def gains(g_e):
-        out = reconstruct_single_ff(shares.share1, shares.share3, 2.0 / 3.0, g_e,
-                                    mirror_reflectivity=50.0 / 51.0, eta_bs=0.97)
-        return secret_gains(shares.secret, out)
-
-    g_p, g_m = gains(solve_single_ff_unity_gain(gains))
-    assert g_p * g_m == pytest.approx(1.0, abs=1e-10)
+    out = reconstruct_single_ff(shares.share1, shares.share3, 2.0 / 3.0, None, mirror_reflectivity=50.0 / 51.0,
+                                eta_bs=0.97, eta_lo=0.96, secret=shares.secret)
+    g_p, g_m = secret_gains(shares.secret, out)
+    assert g_p * g_m == pytest.approx(1.0, abs=1e-15)
 
 
 def test_unreachable_gains_name_their_cause():
     # With every photon reflected, the feed-forward cannot move g+; with
-    # none, the measured beams carry no secret.
+    # none, single_ff's kept beam has g- = 0 and double_ff's measured
+    # beams carry no secret.
     shares = encode()
-    with pytest.raises(ValueError, match="^unity gain unreachable for this configuration$"):
-        solve_single_ff_unity_gain(lambda g_e: secret_gains(
-            shares.secret, reconstruct_single_ff(shares.share1, shares.share3, 1.0, g_e)))
+    for r in (0.0, 1.0):
+        with pytest.raises(ValueError, match="^unity gain unreachable for this configuration$"):
+            reconstruct_single_ff(shares.share1, shares.share3, r, None, secret=shares.secret)
     with pytest.raises(ValueError, match=r"^optical gain 1\.0 is unreachable at reflectivity 0\.0$"):
         reconstruct_double_ff(shares.share1, shares.share3, shares.secret, reflectivity=0.0)
 
 
+def test_unity_gain_solve_is_exact_to_a_few_ulp():
+    # The closed-form electronic gain puts g+ g- within 4 ulp of 1 over
+    # random dealers, splitters, losses, detectors and mirrors.
+    rng = random.Random(30)
+    worst = 0.0
+    for _ in range(1000):
+        shares = encode(v_sq=rng.uniform(0.1, 1.0), v_n=rng.uniform(0.0, 5.0), eta_epr1_in=rng.uniform(0.9, 1.0))
+        mirror = rng.choice((None, rng.uniform(0.9, 0.999)))
+        out = reconstruct_single_ff(shares.share(rng.choice((1, 2))), shares.share3, rng.uniform(0.05, 0.95), None,
+                                    det=DetectorSpec(rng.uniform(0.8, 1.0), rng.uniform(0.0, 0.1)),
+                                    mirror_reflectivity=mirror, eta_bs=rng.uniform(0.9, 1.0),
+                                    eta_lo=rng.uniform(0.9, 1.0), secret=shares.secret)
+        g_p, g_m = secret_gains(shares.secret, out)
+        worst = max(worst, abs(g_p * g_m - 1.0))
+    assert worst <= 4 * math.ulp(1.0)
+
+
+DOUBLE_FF_SETUPS = [(None, IDEAL_DETECTOR), (50.0 / 51.0, DetectorSpec(0.93, db_to_linear(-13.0)))]
+
+
 def test_double_ff_hits_requested_gain():
     shares = encode()
-    for target in (0.5, 1.0, 1.5):
-        out = reconstruct_double_ff(shares.share1, shares.share3, shares.secret, g_target=target)
-        g_p, g_m = secret_gains(shares.secret, out)
-        assert g_p == pytest.approx(target, abs=1e-10)
-        assert g_m == pytest.approx(target, abs=1e-10)
+    for mirror, det in DOUBLE_FF_SETUPS:
+        for target in (0.5, 1.0, 1.5):
+            out = reconstruct_double_ff(shares.share1, shares.share3, shares.secret, g_target=target, det=det,
+                                        mirror_reflectivity=mirror)
+            g_p, g_m = secret_gains(shares.secret, out)
+            assert g_p == pytest.approx(target, abs=1e-14), (mirror, det)
+            assert g_m == pytest.approx(target, abs=1e-14), (mirror, det)
+
+
+@pytest.mark.parametrize("mirror", [None, 50.0 / 51.0])
+def test_double_ff_dark_noise_raises_both_variances_linearly(mirror):
+    # Each photocurrent carries its own dark noise onto its quadrature, at
+    # gains the dark noise does not change.
+    shares = encode()
+
+    def variances(dark):
+        out = reconstruct_double_ff(shares.share1, shares.share3, shares.secret, det=DetectorSpec(0.93, dark),
+                                    mirror_reflectivity=mirror)
+        return variance(out.plus), variance(out.minus)
+
+    v0, v1, v2 = (variances(dark) for dark in (0.0, 0.05, 0.1))
+    for q in (0, 1):
+        assert v1[q] - v0[q] > 0.01
+        assert v2[q] - v0[q] == pytest.approx(2.0 * (v1[q] - v0[q]), rel=1e-9)
 
 
 def test_double_ff_vacuum_port_cancels_at_unity():
