@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import PLUS, LinearForm, QuadratureMode, classical_axis, combine, linear_combine, new_vacuum
+from .modes import PLUS, LinearForm, QuadratureMode, any_true, classical_axis, combine, linear_combine, new_vacuum
 
 
 class RowError(ValueError):
@@ -37,7 +37,7 @@ class RowError(ValueError):
 def reject(bad, message: str, *values):
     """Raise :class:`RowError` on the rows where ``bad`` holds, each with
     ``message.format(*values)`` at that row's values."""
-    if np.any(bad):
+    if any_true(bad):
         cols = [np.broadcast_to(v, np.shape(bad))[bad].tolist() for v in values]
         raise RowError(bad, [message.format(*(col[i] for col in cols)) for i in range(np.count_nonzero(bad))])
 

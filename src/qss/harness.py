@@ -13,7 +13,7 @@ would give alone, and the rest are built again.  A sweep builds all its
 rows at once, and its results stay columns (:class:`RunResult`) through
 output: the CSV is formatted column by column and the JSON rows are
 written by the C encoder.  The oracle check builds each row it samples
-alone.
+alone, on floats, over one dealer per distinct v_n of those rows.
 
 Configs are flat dotted-key text files (``dealer.v_sq_db = -4.5``) or
 JSON objects with the same keys.  Identical config + seed produces a
@@ -43,6 +43,7 @@ from .protocols import (
     UNITY_SINGLE_FF_GAIN,
     UNITY_TWO_OPA_GAIN,
     DealerConfig,
+    ShareSet,
     classical_avg_fidelity,
     dealer_encode,
     classical_bounds,
@@ -205,7 +206,9 @@ def _integer(value) -> int:
 
 
 def _finite(value) -> float:
-    """A float that is neither NaN nor infinite."""
+    """A float that is neither NaN nor infinite; not a bool."""
+    if isinstance(value, bool):
+        raise ConfigError(f"expected a number, got {value!r}")
     if math.isfinite(number := float(value)):
         return number
     raise ConfigError(f"expected a finite number, got {value!r}")
@@ -241,8 +244,18 @@ _SCALAR_KEYS = {
     "oracle.seed": ("seed", _integer),
     "oracle.rows": ("oracle_rows", _integer),
 }
+
+
+def _decibels(value) -> float:
+    """The linear value of a finite level in dB, which must not overflow."""
+    try:
+        return db_to_linear(_finite(value))
+    except OverflowError:
+        raise ConfigError(f"a level of {value!r} dB overflows") from None
+
+
 # A dB twin sets the field of its linear key from a level in dB.
-_SCALAR_KEYS.update({db: (_SCALAR_KEYS[key][0], lambda v: db_to_linear(_finite(v))) for key, db in _DB_PAIRS.items()})
+_SCALAR_KEYS.update({db: (_SCALAR_KEYS[key][0], _decibels) for key, db in _DB_PAIRS.items()})
 
 _SWEEP_KEYS = {"sweep.gain": "sweep_gain", "sweep.reflectivity": "sweep_reflectivity", "sweep.v_n": "sweep_v_n"}
 
@@ -362,9 +375,11 @@ _BUILDERS = {
 PROTOCOLS = (*_BUILDERS, "summary")
 
 
-def _build(cfg: ExperimentConfig, r: np.ndarray, g: np.ndarray, n: np.ndarray):
+def _build(cfg: ExperimentConfig, r: np.ndarray, g: np.ndarray, n: np.ndarray, shares: ShareSet | None = None):
     """One dealer and one protocol build over the rows at knobs ``r``,
     ``g``, ``n`` (float64 columns; a one-row build runs on floats).
+    ``shares``, if given, is the dealer already encoded at ``n``; it is
+    not used once some rows have failed.
 
     Returns the indices of the rows built, the secret, the raw and the
     corrected outputs (all None if no row is built), and the reason of
@@ -377,7 +392,8 @@ def _build(cfg: ExperimentConfig, r: np.ndarray, g: np.ndarray, n: np.ndarray):
     live = np.arange(size)
     while live.size:
         r_live, g_live, n_live = (k[live] if size > 1 else float(k[0]) for k in (r, g, n))
-        shares = dealer_encode(cfg.dealer(n_live))
+        if shares is None or live.size < size:
+            shares = dealer_encode(cfg.dealer(n_live))
         try:
             raw, corrected = _BUILDERS[cfg.protocol](cfg, shares, shares.share(cfg.player), r_live, g_live)
         except ValueError as exc:
@@ -602,8 +618,15 @@ def oracle_check(cfg: ExperimentConfig) -> OracleReport:
     idx = sorted({round(i * (size - 1) / max(n_check - 1, 1)) for i in range(n_check)})
     findings: list[OracleFinding] = []
     row_z: dict[int, float] = {}
+    # The dealer depends on v_n alone, and no build consumes a share, so
+    # rows of one v_n share one dealer.
+    dealers: dict[float, ShareSet] = {}
     for i in idx:
-        live, _, raw, _, _ = _build(cfg, *(k[i:i + 1] for k in grid))
+        r, g, n = (k[i:i + 1] for k in grid)
+        v_n = n.item(0)
+        if v_n not in dealers:
+            dealers[v_n] = dealer_encode(cfg.dealer(v_n))
+        live, _, raw, _, _ = _build(cfg, r, g, n, dealers[v_n])
         if not live.size:
             continue
         fs = compare_mode_to_samples(raw, raw, cfg.shots, cfg.seed + i, row=i)

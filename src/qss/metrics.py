@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modes import MINUS, PLUS, QuadratureMode, covariance, variance
+from .modes import MINUS, PLUS, QuadratureMode, any_true, covariance, variance
 from .protocols import ReconstructionReport, classical_bounds
 
 # libm's exp, elementwise: numpy's own float64 exp, used on CPUs with
@@ -57,7 +57,7 @@ def fidelity(secret_means: tuple[float, float], g_plus: float, g_minus: float,
     Returns 0 when the output carries no secret component at all: the
     overlap vanishes once averaged over unknown displacements.
     """
-    if np.any(v_out_plus < 0.0) or np.any(v_out_minus < 0.0):
+    if any_true(v_out_plus < 0.0) or any_true(v_out_minus < 0.0):
         raise ValueError("output variances must be >= 0")
     with np.errstate(all="ignore"):
         k_plus = secret_means[0] ** 2 * (1.0 - g_plus) ** 2 / (1.0 + v_out_plus)

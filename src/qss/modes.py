@@ -41,6 +41,13 @@ PLUS = "plus"
 MINUS = "minus"
 
 
+def any_true(x) -> bool:
+    """Whether any entry of ``x`` holds: ``bool(x)`` for a Python or numpy
+    scalar, ``x.any()`` for an array.  A guard on a one-row build sees
+    plain floats, where ``np.any`` would cost more than the guard."""
+    return bool(x.any()) if isinstance(x, np.ndarray) else bool(x)
+
+
 @dataclass(frozen=True, eq=False)
 class NoiseAxis:
     """One independent scalar Gaussian fluctuation source, equal only to itself."""
@@ -51,7 +58,7 @@ class NoiseAxis:
     label: str = ""
 
     def __post_init__(self):
-        if np.any(self.variance < 0):
+        if any_true(self.variance < 0):
             raise ValueError(f"axis variance must be >= 0, got {self.variance}")
         if self.role not in (None, PLUS, MINUS):
             raise ValueError(f"unknown axis role {self.role!r}")

@@ -60,7 +60,7 @@ def draw_axes(axes, n_shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     mean = std * rng.standard_normal(m) / math.sqrt(n_shots)
     lower = np.zeros((m, m))
-    lower[np.tril_indices(m, -1)] = rng.standard_normal(m * (m - 1) // 2)
+    lower[np.tri(m, k=-1, dtype=bool)] = rng.standard_normal(m * (m - 1) // 2)  # row by row
     lower[np.diag_indices(m)] = np.sqrt(rng.chisquare(n_shots - 1 - np.arange(m)))
     scaled = std[:, None] * lower
     return mean, scaled @ scaled.T / (n_shots - 1)
@@ -85,8 +85,10 @@ def compare_mode_to_samples(predicted: QuadratureMode, sampled: QuadratureMode,
     mode are drawn and checked.
     """
     axes = weighted_axes([sampled, predicted])
-    names = axis_names(axes)
+    labels = list(axis_names(axes).values())
+    axis_var = np.array([ax.variance for ax in axes])
     sampled_coeffs = coefficient_matrix([sampled.plus, sampled.minus], axes)
+    predicted_coeffs = coefficient_matrix([predicted.plus, predicted.minus], axes)
     mean_d, cov_d = draw_axes(axes, n_shots, seed)
     fluct_mean = sampled_coeffs @ mean_d
     axis_cov = sampled_coeffs @ cov_d
@@ -101,14 +103,14 @@ def compare_mode_to_samples(predicted: QuadratureMode, sampled: QuadratureMode,
         findings.append(OracleFinding(row, f"mean.{quad}", None, (mean_emp - form.mean) / se_mean))
         se_var = max(v_emp, 1e-30) * math.sqrt(2.0 / (n_shots - 1))
         findings.append(OracleFinding(row, f"variance.{quad}", None, (v_emp - v_pred) / se_var))
-        coeffs = form.coeffs
-        for j, ax in enumerate(axes):
-            c = coeffs.get(ax, 0.0)
-            est = float(axis_cov[i, j]) / ax.variance
-            # The estimate is (1/n) sum of x d / variance with x = c d + r:
-            # its variance is (R / variance + 2 c^2) / n, R being the
-            # variance of r, so the axis's own spread counts too.
-            resid = max(v_emp - c * c * ax.variance, 0.0)
-            se = math.sqrt(max(resid / ax.variance + 2.0 * c * c, 1e-30) / n_shots)
-            findings.append(OracleFinding(row, f"coeff.{quad}", names[ax], (est - c) / se))
+        # Per axis, over all axes at once: the estimate is (1/n) sum of
+        # x d / variance with x = c d + r, so its variance is
+        # (R / variance + 2 c^2) / n, R being the variance of r, and the
+        # axis's own spread counts too.
+        c = predicted_coeffs[i]
+        est = axis_cov[i] / axis_var
+        resid = np.maximum(v_emp - c * c * axis_var, 0.0)
+        se = np.sqrt(np.maximum(resid / axis_var + 2.0 * c * c, 1e-30) / n_shots)
+        quantity = f"coeff.{quad}"
+        findings.extend(OracleFinding(row, quantity, label, z) for label, z in zip(labels, ((est - c) / se).tolist()))
     return findings

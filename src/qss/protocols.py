@@ -47,6 +47,7 @@ from .modes import (
     PLUS,
     LinearForm,
     QuadratureMode,
+    any_true,
     axis_names,
     classical_axis,
     covariance,
@@ -83,7 +84,7 @@ class DealerConfig:
     secret: QuadratureMode | None = None
 
     def __post_init__(self):
-        if np.any(self.v_n < 0.0):
+        if any_true(self.v_n < 0.0):
             raise ValueError("classical noise variance must be >= 0")
         if not 0.0 < self.eta_epr1_in <= 1.0:
             raise ValueError(f"eta_epr1_in must be in (0, 1], got {self.eta_epr1_in}")
@@ -185,10 +186,11 @@ def orient_share3(share_a: QuadratureMode, share3: QuadratureMode) -> Quadrature
     does not cancel for a pure entangled pair.
     """
     flip = covariance(share_a.plus, share3.plus) - covariance(share_a.minus, share3.minus) < 0.0
-    if not np.any(flip):
+    if not any_true(flip):
         return share3
     flipped = phase_shift(share3, math.pi)
-    return flipped if np.all(flip) else select(flip, flipped, share3)
+    # A one-row flip is a bool, which holds here; a batch may flip some rows only.
+    return select(flip, flipped, share3) if isinstance(flip, np.ndarray) and not flip.all() else flipped
 
 
 def reconstruct_mz(share1: QuadratureMode, share2: QuadratureMode, eta_bs: float = 1.0) -> QuadratureMode:

@@ -487,6 +487,82 @@ def test_oracle_passes_every_sweep_preset(name, rows):
     assert report.passed and report.rows_checked == rows
 
 
+SWEEP_PRESETS = sorted(name for name in harness.PRESETS if name != "summary")
+
+
+def _oracle_rows_built_alone(cfg):
+    """Every finding of :func:`oracle_check`'s sampled rows, each row
+    built alone with its own dealer, and each row's largest |z|."""
+    grid = harness._grid(cfg)
+    size = grid[0].size
+    n_check = min(cfg.oracle_rows, size)
+    findings, row_z = [], {}
+    for i in sorted({round(i * (size - 1) / max(n_check - 1, 1)) for i in range(n_check)}):
+        live, _, raw, _, _ = harness._build(cfg, *(k[i:i + 1] for k in grid))
+        if live.size:
+            fs = oracle.compare_mode_to_samples(raw, raw, cfg.shots, cfg.seed + i, row=i)
+            row_z[i] = max(abs(f.z) for f in fs)
+            findings += fs
+    return findings, row_z
+
+
+@pytest.mark.parametrize("name", SWEEP_PRESETS)
+def test_oracle_rows_share_a_dealer_without_changing_a_z(monkeypatch, name):
+    cfg = dataclasses.replace(preset_config(name), oracle_rows=7)
+    want, want_row_z = _oracle_rows_built_alone(cfg)
+    got, dealers = [], []
+    monkeypatch.setattr(harness, "compare_mode_to_samples",
+                        lambda *a, **k: got.extend(fs := compare_mode_to_samples(*a, **k)) or fs)
+    monkeypatch.setattr(harness, "dealer_encode", lambda dealer: dealers.append(dealer.v_n) or dealer_encode(dealer))
+    report = oracle_check(cfg)
+    assert got == want
+    assert report.row_z == want_row_z and report.rows_checked == len(want_row_z) == min(7, harness._grid(cfg)[0].size)
+    worst = max(want, key=lambda f: abs(f.z))
+    assert (report.worst_z, report.worst_quantity) == (abs(worst.z), worst.quantity)
+    assert report.findings == [f for f in want if abs(f.z) >= 5.0]
+    # One dealer per distinct v_n: fig5-adversary sweeps v_n, the other presets hold it.
+    assert dealers == list(dict.fromkeys(harness._grid(cfg)[2][list(want_row_z)].tolist()))
+
+
+def test_build_encodes_its_own_dealer_once_rows_fail():
+    # A dealer handed to a batch serves its first attempt only; rows that
+    # survive a failed guard are built again over a dealer of their own.
+    cfg = BATCH_CASES[1]  # row 0 fails
+    grid = harness._grid(cfg)
+    shares = dealer_encode(cfg.dealer(grid[2]))
+    live, secret, raw, _, errors = harness._build(cfg, *grid, shares)
+    assert secret is not shares.secret
+    live_alone, secret_alone, raw_alone, _, errors_alone = harness._build(cfg, *grid)
+    assert live.tolist() == live_alone.tolist() == [1, 2, 3] and errors == errors_alone
+    assert make_report(secret, raw).v_out_plus.tolist() == make_report(secret_alone, raw_alone).v_out_plus.tolist()
+
+
+def test_lo_efficiency_is_the_electronic_gain_scaled_by_its_root():
+    # eta_lo mode-matches the local oscillator that carries the
+    # feed-forward: it scales the fed signal by sqrt(eta_lo), as the
+    # electronic gain g sqrt(eta_lo) does at eta_lo = 1, and the vacuum
+    # its loss admits replaces vacuum that the mirror admits anyway.
+    cfg = preset_config("fig3b")
+    ideal = dataclasses.replace(cfg, eta_lo=1.0)
+    r, g, n = harness._grid(cfg)
+    g_ideal = g * math.sqrt(cfg.eta_lo)
+    assert cfg.eta_lo == 0.96 and cfg.mirror_r is not None
+    reports = []
+    for c, gain in ((cfg, g), (ideal, g_ideal)):
+        live, secret, raw, _, errors = harness._build(c, r, gain, n)
+        assert live.size == r.size and not errors
+        reports.append(make_report(secret, raw))
+    for moment in ("g_plus", "g_minus", "v_out_plus", "v_out_minus"):
+        np.testing.assert_allclose(getattr(reports[0], moment), getattr(reports[1], moment), rtol=1e-15, atol=0)
+    (data, _), (data_ideal, _) = harness._sweep(cfg, r, g, n), harness._sweep(ideal, r, g_ideal, n)
+    gg = data_ideal["gain_product"]
+    for column in set(harness.CSV_COLUMNS) - {"protocol", "gain", "oracle_max_z"}:
+        # V_min = (1 - g+ g-)^2 magnifies the relative error of g+ g- by
+        # 2 g+ g- / |1 - g+ g-|, about 400 near unity gain.
+        rtol = 1e-15 * np.maximum(1.0, 2.0 * np.abs(gg / (1.0 - gg))) if column == "v_classical_min" else 1e-15
+        assert np.all(np.abs(data[column] - data_ideal[column]) <= rtol * np.abs(data_ideal[column])), column
+
+
 def test_axis_names_are_unique_when_labels_collide():
     # At gain 10, fig3b's output carries two axes labelled mm_ff_bs.plus.
     raw, secret = _one_row(preset_config("fig3b"), gain=10.0)
@@ -702,3 +778,23 @@ def test_cli_non_finite_number_exit_code(tmp_path, capsys, key, value, fmt):
     cfg.write_text(json.dumps(mapping) if fmt == "json" else "".join(f"{k} = {v}\n" for k, v in mapping.items()))
     assert cli.main(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"config error: {key}: expected a finite number, got {value!r}"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("key", ["dealer.v_n", "protocol.gain", "dealer.v_n_db", "sweep.gain.start"])
+def test_cli_bool_for_a_number_exit_code(tmp_path, capsys, key, fmt):
+    # A bool used to pass as 1.0: {"dealer.v_n": true} ran at v_n = 1.
+    mapping = {"protocol.name": "pia", "sweep.gain.start": 1.0, "sweep.gain.stop": 2.0, key: True}
+    cfg = tmp_path / "bool.cfg"
+    cfg.write_text(json.dumps(mapping) if fmt == "json" else "".join(f"{k} = {v}\n" for k, v in mapping.items()))
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {key}: expected a number, got True"]
+
+
+@pytest.mark.parametrize("key", ["dealer.v_sq_db", "dealer.v_anti_db", "dealer.v_n_db", "detector.dark_noise_db"])
+def test_cli_overflowing_db_level_exit_code(tmp_path, capsys, key):
+    # A finite level whose linear value overflows used to end in an OverflowError.
+    cfg = tmp_path / "db.cfg"
+    cfg.write_text(f"protocol.name = mz\n{key} = 4000\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {key}: a level of 4000 dB overflows"]

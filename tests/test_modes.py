@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from qss.modes import (
     LinearForm,
     NoiseAxis,
     QuadratureMode,
+    any_true,
     axis_names,
     classical_axis,
     combine,
@@ -75,6 +77,16 @@ def test_axis_validation():
     for role, partner in ((MINUS, None), (None, ax_p), (PLUS, ax_p), (MINUS, ax_m), ("x", None)):
         with pytest.raises(ValueError):
             NoiseAxis(1.0, role, partner)
+
+
+@pytest.mark.parametrize("x", [
+    0.0, -0.0, 2.5, math.nan, True, False, 0, 3,
+    np.float64(0.0), np.float64(-1.0), np.float64(math.nan), np.bool_(True), np.bool_(False),
+    np.array(0.0), np.array(math.nan), np.array(False), np.array(True),
+    np.array([]), np.array([0.0, 0.0]), np.array([0.0, math.nan]), np.array([False, True]), np.zeros((2, 2)),
+], ids=repr)
+def test_any_true_agrees_with_np_any(x):
+    assert any_true(x) is bool(np.any(x))
 
 
 def test_linear_combine_variance_arithmetic():

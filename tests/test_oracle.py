@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qss import oracle
 from qss.components import displace
@@ -9,15 +11,18 @@ from qss.modes import (
     MINUS,
     PLUS,
     LinearForm,
+    QuadratureMode,
+    axis_names,
     classical_axis,
     linear_combine,
     mode_axes,
     new_coherent,
     new_squeezed,
     new_vacuum,
+    quantum_pair,
     variance,
 )
-from qss.oracle import coefficient_matrix, compare_mode_to_samples, draw_axes, weighted_axes
+from qss.oracle import OracleFinding, coefficient_matrix, compare_mode_to_samples, draw_axes, weighted_axes
 
 
 def test_monte_carlo_matches_analytics():
@@ -109,6 +114,90 @@ def test_z_scores_are_those_of_the_direct_sums(monkeypatch):
             want.append((est - c) / se)
     assert len(got) == len(want) == 4 + 2 * len(axes)
     np.testing.assert_allclose([f.z for f in got], want, rtol=1e-9)
+
+
+def _compare_axis_by_axis(predicted, sampled, n_shots, seed, row=0):
+    """Reference for :func:`compare_mode_to_samples`: its per-axis
+    findings made one axis at a time on Python floats."""
+    axes = weighted_axes([sampled, predicted])
+    names = axis_names(axes)
+    sampled_coeffs = coefficient_matrix([sampled.plus, sampled.minus], axes)
+    mean_d, cov_d = draw_axes(axes, n_shots, seed)
+    fluct_mean = sampled_coeffs @ mean_d
+    axis_cov = sampled_coeffs @ cov_d
+    cov = axis_cov @ sampled_coeffs.T
+    findings = []
+    for i, quad in enumerate((PLUS, MINUS)):
+        form = predicted.quad(quad)
+        v_pred = variance(form)
+        v_emp = float(cov[i, i])
+        mean_emp = sampled.quad(quad).mean + float(fluct_mean[i])
+        se_mean = math.sqrt(max(v_emp, 1e-30) / n_shots)
+        findings.append(OracleFinding(row, f"mean.{quad}", None, (mean_emp - form.mean) / se_mean))
+        se_var = max(v_emp, 1e-30) * math.sqrt(2.0 / (n_shots - 1))
+        findings.append(OracleFinding(row, f"variance.{quad}", None, (v_emp - v_pred) / se_var))
+        coeffs = form.coeffs
+        for j, ax in enumerate(axes):
+            c = coeffs.get(ax, 0.0)
+            est = float(axis_cov[i, j]) / ax.variance
+            resid = max(v_emp - c * c * ax.variance, 0.0)
+            se = math.sqrt(max(resid / ax.variance + 2.0 * c * c, 1e-30) / n_shots)
+            findings.append(OracleFinding(row, f"coeff.{quad}", names[ax], (est - c) / se))
+    return findings
+
+
+_coefficient = st.one_of(st.just(0.0), st.floats(-20.0, 20.0, allow_nan=False))
+
+
+@st.composite
+def _mode_pairs(draw):
+    """A sampled and a predicted mode over a few shared axes: quantum
+    pairs and classical axes, some of zero variance, with independent
+    coefficients (a zero one included), so that some residual variances
+    come out negative and are clipped."""
+    axes = []
+    for k in range(draw(st.integers(1, 4))):
+        v_plus, v_minus = (draw(st.floats(1e-3, 1e3)) for _ in range(2))
+        axes += quantum_pair(v_plus, v_minus, f"q{k}")
+    axes += [classical_axis(draw(st.sampled_from([0.0, 0.05, 2.0])), "n") for _ in range(draw(st.integers(0, 2)))]
+
+    def mode():
+        forms = [LinearForm(draw(st.floats(-10.0, 10.0)),
+                            {ax: draw(_coefficient) for ax in axes if draw(st.booleans())}) for _ in range(2)]
+        return QuadratureMode(*forms)
+
+    return mode(), mode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mode_pairs(), st.integers(20, 10**7), st.integers(0, 2**32 - 1), st.integers(0, 50))
+def test_z_scores_equal_the_axis_by_axis_reference(modes, n_shots, seed, row):
+    sampled, predicted = modes
+    for p in (predicted, sampled):
+        assert compare_mode_to_samples(p, sampled, n_shots, seed, row) == \
+            _compare_axis_by_axis(p, sampled, n_shots, seed, row)
+
+
+def _draw_axes_by_indices(axes, n_shots, seed):
+    """Reference for :func:`draw_axes`: the Bartlett factor filled through
+    ``np.tril_indices``."""
+    m = len(axes)
+    std = np.sqrt([ax.variance for ax in axes])
+    rng = np.random.default_rng(seed)
+    mean = std * rng.standard_normal(m) / math.sqrt(n_shots)
+    lower = np.zeros((m, m))
+    lower[np.tril_indices(m, -1)] = rng.standard_normal(m * (m - 1) // 2)
+    lower[np.diag_indices(m)] = np.sqrt(rng.chisquare(n_shots - 1 - np.arange(m)))
+    scaled = std[:, None] * lower
+    return mean, scaled @ scaled.T / (n_shots - 1)
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_draw_axes_fills_the_bartlett_factor_row_by_row(m):
+    axes = [classical_axis(0.25 + k, f"a{k}") for k in range(m)]
+    for n_shots, seed in ((m + 1, m), (10**6, 1000 + m)):
+        got, want = draw_axes(axes, n_shots, seed), _draw_axes_by_indices(axes, n_shots, seed)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_draw_axes_is_unbiased_at_few_shots():
