@@ -32,7 +32,7 @@ import numpy as np
 
 from . import metrics
 from .components import DetectorSpec, RowError
-from .modes import QuadratureMode, db_to_linear, new_coherent
+from .modes import TOL, QuadratureMode, db_to_linear, new_coherent
 from .oracle import ORACLE_Z_LIMIT, OracleFinding, compare_mode_to_samples
 from .protocols import (
     DEFAULT_SECRET_MEANS,
@@ -157,6 +157,10 @@ class ExperimentConfig:
         v_n_low = min((self.v_n, *v_n_range))
         if not v_n_low >= 0.0:
             raise ConfigError(f"classical noise variance must be >= 0, got {v_n_low}")
+        if not self.v_sq > 0.0:
+            raise ConfigError(f"dealer.v_sq must be > 0, got {self.v_sq}")
+        if self.v_anti is not None and self.v_sq * self.v_anti < 1.0 - TOL:
+            raise ConfigError(f"dealer.v_sq * dealer.v_anti must be >= 1, got {self.v_sq} * {self.v_anti}")
         if self.secret_mean_plus == 0.0 or self.secret_mean_minus == 0.0:
             raise ConfigError("secret means must be nonzero: signal transfer is undefined for a zero mean")
 
@@ -346,10 +350,9 @@ def _knobs(cfg: ExperimentConfig) -> tuple[float, float, float]:
     return reflectivity, gain, cfg.v_n
 
 
-def _build_single_ff(cfg: ExperimentConfig, shares, share_a, r: float, g: float):
-    out = reconstruct_single_ff(share_a, shares.share3, r, None if cfg.unity_gain else g, det=cfg.detector(),
-                                mirror_reflectivity=cfg.mirror_r, eta_bs=cfg.eta_recon_bs, eta_lo=cfg.eta_lo,
-                                secret=shares.secret)
+def _build_single_ff(cfg: ExperimentConfig, shares, r: float, g: float):
+    out = reconstruct_single_ff(shares, cfg.player, r, None if cfg.unity_gain else g, det=cfg.detector(),
+                                mirror_reflectivity=cfg.mirror_r, eta_bs=cfg.eta_recon_bs, eta_lo=cfg.eta_lo)
     return out, parametric_correction(out)
 
 
@@ -357,19 +360,16 @@ def _uncorrected(out: QuadratureMode):
     return out, out
 
 
-# One builder per protocol: (cfg, shares, share_a, r, g) -> (raw, corrected).
+# One builder per protocol: (cfg, shares, r, g) -> (raw, corrected).
 _BUILDERS = {
-    "mz": lambda cfg, shares, share_a, r, g: _uncorrected(
-        reconstruct_mz(shares.share1, shares.share2, cfg.eta_mz)),
-    "pia": lambda cfg, shares, share_a, r, g: _uncorrected(
-        reconstruct_pia(share_a, shares.share3, g)),
-    "two_opa": lambda cfg, shares, share_a, r, g: _uncorrected(
-        reconstruct_two_opa(share_a, shares.share3, g)),
+    "mz": lambda cfg, shares, r, g: _uncorrected(reconstruct_mz(shares.share1, shares.share2, cfg.eta_mz)),
+    "pia": lambda cfg, shares, r, g: _uncorrected(reconstruct_pia(shares, cfg.player, g)),
+    "two_opa": lambda cfg, shares, r, g: _uncorrected(reconstruct_two_opa(shares, cfg.player, g)),
     "single_ff": _build_single_ff,
-    "double_ff": lambda cfg, shares, share_a, r, g: _uncorrected(reconstruct_double_ff(
-        share_a, shares.share3, shares.secret, r, g, det=cfg.detector(), mirror_reflectivity=cfg.mirror_r)),
-    "adversary_1": lambda cfg, shares, share_a, r, g: _uncorrected(shares.share1),
-    "adversary_3": lambda cfg, shares, share_a, r, g: _uncorrected(shares.share3),
+    "double_ff": lambda cfg, shares, r, g: _uncorrected(reconstruct_double_ff(
+        shares, cfg.player, r, g, det=cfg.detector(), mirror_reflectivity=cfg.mirror_r)),
+    "adversary_1": lambda cfg, shares, r, g: _uncorrected(shares.share1),
+    "adversary_3": lambda cfg, shares, r, g: _uncorrected(shares.share3),
 }
 
 PROTOCOLS = (*_BUILDERS, "summary")
@@ -395,7 +395,7 @@ def _build(cfg: ExperimentConfig, r: np.ndarray, g: np.ndarray, n: np.ndarray, s
         if shares is None or live.size < size:
             shares = dealer_encode(cfg.dealer(n_live))
         try:
-            raw, corrected = _BUILDERS[cfg.protocol](cfg, shares, shares.share(cfg.player), r_live, g_live)
+            raw, corrected = _BUILDERS[cfg.protocol](cfg, shares, r_live, g_live)
         except ValueError as exc:
             failure = exc if isinstance(exc, RowError) else RowError(True, [str(exc)] * live.size)
             mask = np.broadcast_to(failure.mask, live.shape)
@@ -466,14 +466,6 @@ def _grid(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.array(k, dtype=float).ravel() for k in np.meshgrid(*values, indexing="ij"))
 
 
-# Fidelity and conditional variances refer to the delivered (corrected)
-# state; gains and the classical bounds refer to the raw protocol output,
-# since the per-quadrature transfer bound assumes no local squeezing after
-# reconstruction (T itself is invariant under the correction, so the
-# comparison stays consistent).
-_DELIVERED_COLUMNS = ("fidelity", "t_plus", "t_minus", "signal_transfer", "v_cond_plus", "v_cond_minus", "added_noise")
-
-
 def _sweep(cfg: ExperimentConfig, r: np.ndarray, g: np.ndarray, n: np.ndarray):
     """The CSV columns of the rows at knobs ``r``, ``g``, ``n`` and the
     reason of each failed row (see :func:`_build`)."""
@@ -485,11 +477,16 @@ def _sweep(cfg: ExperimentConfig, r: np.ndarray, g: np.ndarray, n: np.ndarray):
     if live.size:
         raw_rep = make_report(secret, raw)
         rep = metrics.metrics_report(raw_rep if corrected is raw else make_report(secret, corrected))
+        # Fidelity and conditional variances refer to the delivered
+        # (corrected) state; gains and the classical bounds refer to the raw
+        # protocol output, since the per-quadrature transfer bound assumes no
+        # local squeezing after reconstruction (T itself is invariant under
+        # the correction, so the comparison stays consistent).
         f_max, t_max, v_min = classical_bounds(raw_rep.g_plus, raw_rep.g_minus)
         cells = {"g_plus": raw_rep.g_plus, "g_minus": raw_rep.g_minus, "gain_product": raw_rep.gain_product,
                  "fidelity_unity": metrics.unity_corrected_fidelity(raw_rep),
                  "f_classical_max": f_max, "t_classical_max": t_max, "v_classical_min": v_min}
-        cells.update((c, getattr(rep, c)) for c in _DELIVERED_COLUMNS)
+        cells.update(vars(rep))
         for c, values in cells.items():
             data[c][live] = values
     return data, errors

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modes import MINUS, PLUS, QuadratureMode, any_true, covariance, variance
-from .protocols import ReconstructionReport, classical_bounds
+from .protocols import ReconstructionReport
 
 # libm's exp, elementwise: numpy's own float64 exp, used on CPUs with
 # AVX-512, differs from libm on some inputs, so results would vary by CPU.
@@ -35,19 +35,16 @@ def _exp(x) -> np.ndarray:
 
 @dataclass
 class MetricsReport:
+    """The measures of one delivered state; a sweep reads the gains and the
+    classical bounds off the raw output instead."""
+
     fidelity: float
-    g_plus: float
-    g_minus: float
-    gain_product: float
     t_plus: float
     t_minus: float
     signal_transfer: float
     v_cond_plus: float
     v_cond_minus: float
     added_noise: float
-    f_classical_max: float
-    t_classical_max: float
-    v_classical_min: float
 
 
 def fidelity(secret_means: tuple[float, float], g_plus: float, g_minus: float,
@@ -148,26 +145,21 @@ def unity_corrected_fidelity(rep: ReconstructionReport) -> float:
 
 
 def metrics_report(rep: ReconstructionReport) -> MetricsReport:
-    """Full F/T/V report for one reconstructed (or adversary) state."""
-    g_p, g_m = rep.g_plus, rep.g_minus
-    f_max, t_max, v_min = classical_bounds(g_p, g_m)
-    f = fidelity((rep.secret.plus.mean, rep.secret.minus.mean), g_p, g_m, rep.v_out_plus, rep.v_out_minus)
+    """F/T/V report for one reconstructed (or adversary) state.  Its gains
+    are ``rep``'s own, and :func:`~qss.protocols.classical_bounds` gives
+    the classical limits at those gains."""
+    f = fidelity((rep.secret.plus.mean, rep.secret.minus.mean), rep.g_plus, rep.g_minus,
+                 rep.v_out_plus, rep.v_out_minus)
     t_p, t_m, _ = signal_transfer(rep)
     v_p = conditional_variance(rep, PLUS)
     v_m = conditional_variance(rep, MINUS)
     with np.errstate(all="ignore"):  # an overflow gives inf, as it does for floats
         return MetricsReport(
             fidelity=f,
-            g_plus=g_p,
-            g_minus=g_m,
-            gain_product=g_p * g_m,
             t_plus=t_p,
             t_minus=t_m,
             signal_transfer=t_p + t_m,
             v_cond_plus=v_p,
             v_cond_minus=v_m,
             added_noise=v_p * v_m,
-            f_classical_max=f_max,
-            t_classical_max=t_max,
-            v_classical_min=v_min,
         )

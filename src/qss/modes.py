@@ -186,17 +186,6 @@ def linear_combine(terms) -> QuadratureMode:
                           combine((c_minus, mode.minus) for _, c_minus, mode in terms))
 
 
-def select(mask: np.ndarray, a: QuadratureMode, b: QuadratureMode) -> QuadratureMode:
-    """Row by row, mode ``a`` where the array ``mask`` holds and ``b`` elsewhere."""
-
-    def pick(fa: LinearForm, fb: LinearForm) -> LinearForm:
-        keys = dict.fromkeys((*fa.coeffs, *fb.coeffs))
-        return LinearForm(np.where(mask, fa.mean, fb.mean),
-                          {ax: np.where(mask, fa.coeffs.get(ax, 0.0), fb.coeffs.get(ax, 0.0)) for ax in keys})
-
-    return QuadratureMode(pick(a.plus, b.plus), pick(a.minus, b.minus))
-
-
 # The sums below run left to right in an explicit loop: from Python 3.12
 # on, sum() of floats is compensated, so a float row and an array row
 # would round differently.

@@ -11,13 +11,14 @@ classical noise:
 
 Reconstruction protocols are built compositionally from optical
 components; their closed forms live in the tests, as oracles.  The
-{1,3} and {2,3} groups share one code path: when share 2 is used, share
-3 enters with a pi phase flip so the classical noise and anti-squeezed
-terms cancel, and the orientation is auto-detected from the sign of the
-cross-share covariance.
+{1,3} and {2,3} groups share one code path, given the dealer's shares
+and the player (1 or 2) who joins share 3.  Share 2 carries the
+entangled arm and the noise with the opposite sign to share 1, so its
+group takes share 3 with a pi phase flip (:meth:`ShareSet.group`): the
+classical noise and the anti-squeezed terms then cancel for either
+player.
 
-Every knob may be an array with one entry per row of a batch; the
-orientation of share 3 is then chosen row by row.
+Every knob may be an array with one entry per row of a batch.
 """
 
 from __future__ import annotations
@@ -50,12 +51,10 @@ from .modes import (
     any_true,
     axis_names,
     classical_axis,
-    covariance,
     mode_axes,
     new_coherent,
     new_squeezed,
     new_vacuum,
-    select,
     variance,
 )
 
@@ -106,6 +105,17 @@ class ShareSet:
 
     def share(self, k: int) -> QuadratureMode:
         return {1: self.share1, 2: self.share2, 3: self.share3}[k]
+
+    def group(self, player: int) -> tuple[QuadratureMode, QuadratureMode]:
+        """Share ``player`` and share 3 as that player's group takes it:
+        as it is for share 1, phase-flipped by pi for share 2, so that its
+        correlations with the share add constructively (the experiment's
+        phase lock)."""
+        if player == 1:
+            return self.share1, self.share3
+        if player == 2:
+            return self.share2, phase_shift(self.share3, math.pi)
+        raise ValueError(f"player must be 1 or 2, got {player}")
 
 
 @dataclass
@@ -176,23 +186,6 @@ def _add_noise(mode: QuadratureMode, n_plus: LinearForm, n_minus: LinearForm, k_
     return displace(out, MINUS, n_minus, k_minus)
 
 
-def orient_share3(share_a: QuadratureMode, share3: QuadratureMode) -> QuadratureMode:
-    """Phase-flip share 3 when needed so its correlations with ``share_a``
-    add constructively (the experiment's phase lock).
-
-    Shares 1 and 2 are correlated with share 3 in opposite senses on the
-    two quadratures (positively on one, negatively on the other), so the
-    discriminator is the difference of the quadrature covariances, which
-    does not cancel for a pure entangled pair.
-    """
-    flip = covariance(share_a.plus, share3.plus) - covariance(share_a.minus, share3.minus) < 0.0
-    if not any_true(flip):
-        return share3
-    flipped = phase_shift(share3, math.pi)
-    # A one-row flip is a bool, which holds here; a batch may flip some rows only.
-    return select(flip, flipped, share3) if isinstance(flip, np.ndarray) and not flip.all() else flipped
-
-
 def reconstruct_mz(share1: QuadratureMode, share2: QuadratureMode, eta_bs: float = 1.0) -> QuadratureMode:
     """{1,2} group: recombine the shares on a 1:1 beam splitter."""
     out, _ = beam_splitter(share1, share2, 0.5)
@@ -201,17 +194,17 @@ def reconstruct_mz(share1: QuadratureMode, share2: QuadratureMode, eta_bs: float
     return out
 
 
-def reconstruct_pia(share_a: QuadratureMode, share3: QuadratureMode, gain: float = UNITY_PIA_GAIN) -> QuadratureMode:
-    """{1,3}/{2,3} group: amplify one share with share 3 as the idler."""
+def reconstruct_pia(shares: ShareSet, player: int, gain: float = UNITY_PIA_GAIN) -> QuadratureMode:
+    """{1,3}/{2,3} group: amplify share ``player`` with share 3 as the idler."""
     reject(gain < 1.0, "amplifier gain must be >= 1, got {}", gain)
-    return phase_insensitive_amp(share_a, orient_share3(share_a, share3), gain)
+    return phase_insensitive_amp(*shares.group(player), gain)
 
 
-def reconstruct_two_opa(share_a: QuadratureMode, share3: QuadratureMode, gain: float = UNITY_TWO_OPA_GAIN) -> QuadratureMode:
+def reconstruct_two_opa(shares: ShareSet, player: int, gain: float = UNITY_TWO_OPA_GAIN) -> QuadratureMode:
     """{1,3}/{2,3} group: interfere, amplify noiselessly with amplitude
     gains 1/sqrt(G) and sqrt(G), and recombine."""
     reject(gain <= 0.0, "amplifying gain must be > 0, got {}", gain)
-    c, d = beam_splitter(share_a, orient_share3(share_a, share3), 0.5)
+    c, d = beam_splitter(*shares.group(player), 0.5)
     c_amp = phase_sensitive_amp(c, 1.0 / gain)
     d_amp = phase_sensitive_amp(d, gain)
     out, _ = beam_splitter(c_amp, d_amp, 0.5)
@@ -219,15 +212,14 @@ def reconstruct_two_opa(share_a: QuadratureMode, share3: QuadratureMode, gain: f
 
 
 def reconstruct_single_ff(
-    share_a: QuadratureMode,
-    share3: QuadratureMode,
+    shares: ShareSet,
+    player: int,
     reflectivity: float = SINGLE_FF_REFLECTIVITY,
     g_elec: float | None = UNITY_SINGLE_FF_GAIN,
     det: DetectorSpec = IDEAL_DETECTOR,
     mirror_reflectivity: float | None = None,
     eta_bs: float = 1.0,
     eta_lo: float = 1.0,
-    secret: QuadratureMode | None = None,
 ) -> QuadratureMode:
     """{1,3}/{2,3} group: interfere the shares (2:1 is optimal), measure
     X+ of one output and feed it forward onto X+ of the other.
@@ -235,17 +227,17 @@ def reconstruct_single_ff(
     With ``mirror_reflectivity`` set, the displacement is applied via a
     modulated local oscillator on a highly reflective mirror instead of
     an ideal displacement.  With ``g_elec`` None, the electronic gain is
-    solved for g+ g- = 1 (against the axis coefficients of ``secret``).
+    solved for g+ g- = 1 (against the axis coefficients of the secret).
     """
-    b, c = beam_splitter(share_a, orient_share3(share_a, share3), reflectivity)
+    b, c = beam_splitter(*shares.group(player), reflectivity)
     if eta_bs < 1.0:
         b = loss(b, eta_bs, "mm_ff_bs")
         c = loss(c, eta_bs, "mm_ff_bs")
     sig = homodyne(c, PLUS, det)
     if g_elec is None:
         k_t, k_s = feed_forward_scale(mirror_reflectivity, eta_lo)
-        b_plus, b_minus = secret_gains(secret, b)
-        s_plus, _ = secret_gains(secret, QuadratureMode(sig, sig))  # the photocurrent's coefficient
+        b_plus, b_minus = secret_gains(shares.secret, b)
+        s_plus, _ = secret_gains(shares.secret, QuadratureMode(sig, sig))  # the photocurrent's coefficient
         error = "unity gain unreachable for this configuration"
         reject(abs(k_t * b_minus) < 1e-12, error)
         g_elec = _electronic_gain(k_t * b_plus, k_s * s_plus, 1.0 / (k_t * b_minus), error)
@@ -258,9 +250,8 @@ def parametric_correction(mode: QuadratureMode) -> QuadratureMode:
 
 
 def reconstruct_double_ff(
-    share_a: QuadratureMode,
-    share3: QuadratureMode,
-    secret: QuadratureMode,
+    shares: ShareSet,
+    player: int,
     reflectivity: float = DOUBLE_FF_REFLECTIVITY,
     g_target: float = UNITY_DOUBLE_FF_GAIN,
     det: DetectorSpec = IDEAL_DETECTOR,
@@ -268,19 +259,20 @@ def reconstruct_double_ff(
 ) -> QuadratureMode:
     """{1,3}/{2,3} group, both quadratures by feed-forward.
 
-    One share is split against vacuum (1:1 is optimal), the transmitted
-    beam interferes with share 3, X+ and X- of the two outputs are
-    measured, and the retained beam is displaced on both quadratures.
+    Share ``player`` is split against vacuum (1:1 is optimal), the
+    transmitted beam interferes with share 3, X+ and X- of the two outputs
+    are measured, and the retained beam is displaced on both quadratures.
     Electronic gains are solved (against the secret's axis coefficients)
     so the achieved optical gain equals ``g_target`` on both quadratures.
     """
+    share_a, share3 = shares.group(player)
     b, kept = beam_splitter(share_a, new_vacuum("dff_vac"), reflectivity)
-    e, d = beam_splitter(b, orient_share3(share_a, share3), 0.5)
+    e, d = beam_splitter(b, share3, 0.5)
     sig_p = homodyne(d, PLUS, det)
     sig_m = homodyne(e, MINUS, det)
     k_t, k_s = feed_forward_scale(mirror_reflectivity)
-    kept_plus, kept_minus = secret_gains(secret, kept)
-    s_plus, s_minus = secret_gains(secret, QuadratureMode(sig_p, sig_m))  # the photocurrents' coefficients
+    kept_plus, kept_minus = secret_gains(shares.secret, kept)
+    s_plus, s_minus = secret_gains(shares.secret, QuadratureMode(sig_p, sig_m))  # the photocurrents' coefficients
     error = ("optical gain {} is unreachable at reflectivity {}", g_target, reflectivity)
     # Both displacements scale the kept beam by k_t; the X- one also scales the X+ feed-forward.
     g_plus = _electronic_gain(k_t * k_t * kept_plus, k_t * k_s * s_plus, g_target, *error)

@@ -94,13 +94,12 @@ def test_criterion_2_unity_gain_protocol_equivalence():
         v_n = rng.uniform(0.0, 10.0)
         player = rng.choice([1, 2])
         shares = dealer_encode(DealerConfig(v_sq=v_sq, v_anti=v_anti, v_n=v_n))
-        share_a = shares.share(player)
         outs = [
-            reconstruct_pia(share_a, shares.share3, 2.0),
-            reconstruct_two_opa(share_a, shares.share3, 3.0 + 2.0 * math.sqrt(2.0)),
+            reconstruct_pia(shares, player, 2.0),
+            reconstruct_two_opa(shares, player, 3.0 + 2.0 * math.sqrt(2.0)),
             parametric_correction(
-                reconstruct_single_ff(share_a, shares.share3, 2.0 / 3.0, 2.0 * math.sqrt(2.0))),
-            reconstruct_double_ff(share_a, shares.share3, shares.secret, 0.5, 1.0),
+                reconstruct_single_ff(shares, player, 2.0 / 3.0, 2.0 * math.sqrt(2.0))),
+            reconstruct_double_ff(shares, player, 0.5, 1.0),
         ]
         moments = []
         for out in outs:
@@ -150,12 +149,12 @@ def test_criterion_3_classical_limits():
 def test_criterion_4_quantum_advantage_ideal():
     start = time.perf_counter()
     shares = dealer_encode(DealerConfig(v_sq=V_SQ_45DB))
-    out = reconstruct_pia(shares.share1, shares.share3)
+    out = reconstruct_pia(shares, 1)
     f23 = metrics_report(make_report(shares.secret, out)).fidelity
     f_avg = (1.0 + 2.0 * f23) / 3.0
     shares_hi = dealer_encode(DealerConfig(v_sq=1e-6))
     f23_hi = metrics_report(make_report(
-        shares_hi.secret, reconstruct_pia(shares_hi.share1, shares_hi.share3))).fidelity
+        shares_hi.secret, reconstruct_pia(shares_hi, 1))).fidelity
     elapsed = time.perf_counter() - start
     ok = (
         abs(f23 - 0.738) <= 1e-3

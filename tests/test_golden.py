@@ -12,6 +12,13 @@ were recorded from the dict-and-sort frontier that
 fig4b is an alias of fig3b in the preset table, so the two share a digest.
 The summary digests were re-recorded when the feed-forward gains became
 closed forms, which moved its unity-gain row by at most 12 ulp.
+The JSON digests of fig2a, fig3a-classical and fig4a-classical were
+re-recorded when share 3's phase flip became the player's (share 2's
+group always flips it) instead of the sign of a covariance.  With a
+classical dealer and no classical noise that sign is zero and share 3
+was not flipped; it carries no correlation there, so the flip changes no
+moment, but the rounding of the delivered columns moved by at most 6 ulp.
+Their CSVs, whose nine digits round this away, did not change.
 """
 
 import hashlib
@@ -37,12 +44,12 @@ GOLDEN_CSV_SHA256 = {
 }
 
 GOLDEN_JSON_SHA256 = {
-    "fig2a": "a40c8eb20dd3fdbe26535cc8e80e625f7e5f7f73ce20f1425914c19ac95a9f69",
+    "fig2a": "498405b4aaeccdc20b8da53f6339143779ef28a62b1ede61a86a81796ef06d85",
     "fig2b": "27f33fad2acf8716de8ed325f007deab25a62aed8c44304a07dea2912727167c",
-    "fig3a-classical": "d15122ed1af9756014d41fb500062bbd5ff624fbcb544daebc85f9faef50c874",
+    "fig3a-classical": "e171c80b5c1b33103c77f2f8814f1c0e954a3f89e5e91381f6019395c9814f46",
     "fig3b": "28e127fb6d3dcc3e6ce51b0fe3825bdc3c76ab06ffebd77659987115585de53a",
     "fig3b-inset-mz": "d35048e277a30c1cbc0720c01deda008884eb50893c0d15533b88c7c904b648b",
-    "fig4a-classical": "14d570d6f44d42c3a8f93d3b6e7c401818c80392ecafb80489d6a6441a507715",
+    "fig4a-classical": "5979153c10ae1ea0adf65dd00f1a24e03270cd1565614b11ffd854031b95c928",
     "fig4b": "28e127fb6d3dcc3e6ce51b0fe3825bdc3c76ab06ffebd77659987115585de53a",
     "fig5-adversary": "6fdf7adc30f57b6ab2cf8f682fef5982736b57c1f8c630c6454c2d23bbbd3e25",
     "summary": "ada53aa74f520b3fae593635d2985d1a052944e0c451b5ba8436b625cd099ea4",

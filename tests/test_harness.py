@@ -26,7 +26,7 @@ from qss.harness import (
 from qss.metrics import metrics_report, unity_corrected_fidelity
 from qss.modes import LinearForm, QuadratureMode, mode_axes
 from qss.oracle import weighted_axes
-from qss.protocols import classical_bounds, dealer_encode, make_report, orient_share3
+from qss.protocols import classical_bounds, dealer_encode, make_report
 
 
 def small_adversary_config(**kw):
@@ -247,18 +247,17 @@ def _row_alone(cfg, knobs):
     raw = make_report(secret, raw_out)
     rep = metrics_report(raw if corrected is raw_out else make_report(secret, corrected))
     f_max, t_max, v_min = classical_bounds(raw.g_plus, raw.g_minus)
-    cells = {c: getattr(rep, c) for c in ("fidelity", "t_plus", "t_minus", "signal_transfer",
-                                          "v_cond_plus", "v_cond_minus", "added_noise")}
-    cells.update(g_plus=raw.g_plus, g_minus=raw.g_minus, gain_product=raw.gain_product,
-                 fidelity_unity=unity_corrected_fidelity(raw),
-                 f_classical_max=f_max, t_classical_max=t_max, v_classical_min=v_min)
+    cells = {"g_plus": raw.g_plus, "g_minus": raw.g_minus, "gain_product": raw.gain_product,
+             "fidelity_unity": unity_corrected_fidelity(raw),
+             "f_classical_max": f_max, "t_classical_max": t_max, "v_classical_min": v_min}
+    cells.update(vars(rep))
     return cells
 
 
 BATCH_CASES = [
     ExperimentConfig(protocol="mz", sweep_v_n=SweepAxis(0.0, 2.0, 3), **harness.EXPERIMENT_KWARGS),
     ExperimentConfig(protocol="pia", v_sq=0.3, sweep_gain=SweepAxis(0.0, 3.0, 4)),  # gain 0 fails
-    # Classical dealer: share 3 is flipped for v_n > 0 only, so the flip changes partway.
+    # Classical dealer: share 3 is correlated with the shares for v_n > 0 only.
     ExperimentConfig(protocol="pia", v_sq=1.0, sweep_v_n=SweepAxis(0.0, 2.0, 3)),
     ExperimentConfig(protocol="two_opa", v_sq=0.3, sweep_gain=SweepAxis(0.0, 6.0, 4)),  # gain 0 fails
     ExperimentConfig(protocol="single_ff", v_sq=0.3, sweep_reflectivity=SweepAxis(0.0, 1.0, 3),
@@ -320,13 +319,19 @@ def test_feed_forward_gain_solves_measure_once_per_build(monkeypatch, cfg, homod
     assert live.size == harness._grid(cfg)[0].size and len(calls) == homodynes
 
 
-def test_share3_flips_partway_through_a_classical_noise_sweep():
-    cfg = BATCH_CASES[2]
-    flipped = []
-    for n in harness._grid(cfg)[2]:
-        shares = dealer_encode(cfg.dealer(float(n)))
-        flipped.append(orient_share3(shares.share2, shares.share3) is not shares.share3)
-    assert flipped == [False, True, True]
+@pytest.mark.parametrize("preset", ["fig2b", "fig3b", "fig4a-classical", "summary"])
+@pytest.mark.parametrize("protocol", ["pia", "two_opa", "single_ff", "double_ff"])
+def test_players_1_and_2_give_the_same_row(preset, protocol):
+    # The dealer treats shares 1 and 2 alike up to signs that share 3's
+    # flip undoes, so either player's group reconstructs the same state.
+    # This is why summary's F_avg counts F_23 for both {1,3} and {2,3}.
+    base = dataclasses.replace(preset_config(preset), protocol=protocol, unity_gain=preset == "summary")
+    (one, errors_one), (two, errors_two) = (harness._sweep(dataclasses.replace(base, player=p), *harness._grid(base))
+                                            for p in (1, 2))
+    assert errors_one == errors_two
+    assert len(errors_one) < len(one["protocol"])
+    for column in harness.CSV_COLUMNS[1:-1]:  # all but protocol and oracle_max_z
+        np.testing.assert_allclose(one[column], two[column], rtol=1e-14, atol=0.0, err_msg=column)
 
 
 def test_result_keeps_no_per_row_objects():
@@ -727,6 +732,10 @@ def test_cli_efficiency_outside_unit_interval_exit_code(tmp_path, capsys, key, e
      "classical noise variance must be >= 0, got -1.0"),
     ("secret.mean_plus = 0", "secret means must be nonzero: signal transfer is undefined for a zero mean"),
     ("secret.mean_minus = 0", "secret means must be nonzero: signal transfer is undefined for a zero mean"),
+    # These three used to fail at build time, with a ValueError traceback.
+    ("dealer.v_sq = 0", "dealer.v_sq must be > 0, got 0.0"),
+    ("dealer.v_sq_db = -4000", "dealer.v_sq must be > 0, got 0.0"),  # underflows to 0
+    ("dealer.v_sq = 0.5\ndealer.v_anti = 0.1", "dealer.v_sq * dealer.v_anti must be >= 1, got 0.5 * 0.1"),
 ])
 def test_cli_invalid_dealer_config_exit_code(tmp_path, capsys, lines, message):
     cfg = tmp_path / "dealer.cfg"
@@ -798,3 +807,10 @@ def test_cli_overflowing_db_level_exit_code(tmp_path, capsys, key):
     cfg.write_text(f"protocol.name = mz\n{key} = 4000\n")
     assert cli.main(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"config error: {key}: a level of 4000 dB overflows"]
+
+
+def test_cli_underflowing_noise_level_runs(tmp_path):
+    # No classical noise is a valid dealer: a v_n level that underflows to 0 runs.
+    cfg = tmp_path / "db.cfg"
+    cfg.write_text("protocol.name = mz\ndealer.v_n_db = -4000\n")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0

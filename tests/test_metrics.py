@@ -146,9 +146,9 @@ def test_unity_corrected_fidelity_handles_sign_flip():
 
 def test_metrics_report_fields():
     shares = dealer_encode(DealerConfig(v_sq=V_SQ))
-    out = reconstruct_pia(shares.share1, shares.share3)
-    rep = metrics_report(make_report(shares.secret, out))
-    assert rep.gain_product == pytest.approx(1.0, abs=1e-10)
+    raw = make_report(shares.secret, reconstruct_pia(shares, 1))
+    rep = metrics_report(raw)
+    assert raw.gain_product == pytest.approx(1.0, abs=1e-10)
     assert rep.fidelity == pytest.approx(2.0 / (2.0 + 2.0 * V_SQ), rel=1e-6)
     # The group-level classical limit follows from the share-access gains
     # 1/sqrt(2) fixed by the dealer, not from the corrected output gains.
@@ -163,11 +163,11 @@ def test_raw_feed_forward_beats_gain_dependent_tv_bound():
     # The gain-dependent transfer bound is informative at the raw
     # (asymmetric) gains; the symmetrising correction leaves T unchanged.
     shares = dealer_encode(DealerConfig(v_sq=V_SQ))
-    out = reconstruct_single_ff(shares.share1, shares.share3)
-    rep = metrics_report(make_report(shares.secret, out))
-    assert rep.g_plus == pytest.approx(math.sqrt(3.0), abs=1e-10)
-    assert rep.g_minus == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-10)
-    assert rep.signal_transfer > rep.t_classical_max
+    raw = make_report(shares.secret, reconstruct_single_ff(shares, 1))
+    assert raw.g_plus == pytest.approx(math.sqrt(3.0), abs=1e-10)
+    assert raw.g_minus == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-10)
+    _, t_max, _ = classical_bounds(raw.g_plus, raw.g_minus)
+    assert metrics_report(raw).signal_transfer > t_max
 
 
 def test_metrics_report_zero_gain_share():

@@ -6,6 +6,9 @@ import pytest
 from qss import harness
 from qss.components import DetectorSpec, IDEAL_DETECTOR, phase_insensitive_amp, phase_shift
 from qss.metrics import metrics_report
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from qss.modes import (
     commutator,
     commutator_weight,
@@ -23,7 +26,6 @@ from qss.protocols import (
     classical_bounds,
     dealer_encode,
     make_report,
-    orient_share3,
     parametric_correction,
     reconstruct_double_ff,
     reconstruct_mz,
@@ -113,15 +115,25 @@ def test_every_build_axis_has_an_origin_label():
                        "hd_vac", "dark", "lo", "lo_mm", "dff_vac"}
 
 
-def test_orientation_flips_for_share2_only():
-    shares = encode()
-    assert orient_share3(shares.share1, shares.share3) is shares.share3
-    flipped = orient_share3(shares.share2, shares.share3)
-    assert flipped is not shares.share3
-    assert covariance(flipped.plus, shares.share3.plus) < 0.0
-    # idempotent on an already-flipped input
-    again = orient_share3(shares.share2, flipped)
-    assert again is flipped
+@settings(max_examples=300, deadline=None)
+@given(v_sq=st.just(1.0) | st.floats(0.05, 0.999), anti=st.just(1.0) | st.floats(1.001, 10.0),
+       v_n=st.just(0.0) | st.floats(1e-3, 100.0), eta=st.just(1.0) | st.floats(0.5, 1.0))
+@example(v_sq=1.0, anti=1.0, v_n=0.0, eta=1.0)
+@example(v_sq=1.0, anti=1.0, v_n=0.0, eta=0.9)
+def test_each_player_takes_share3_in_phase(v_sq, anti, v_n, eta):
+    # Share 3 enters share 1's group as it is and share 2's flipped by pi.
+    # Either way its correlations with the share add constructively: the
+    # phase lock cov(a+, s3+) - cov(a-, s3-) is never negative, and it is
+    # zero only where share 3 carries no correlation, a classical dealer
+    # with no noise.
+    shares = encode(v_sq=v_sq, v_anti=anti / v_sq, v_n=v_n, eta_epr1_in=eta)
+    assert shares.group(1)[1] is shares.share3
+    uncorrelated = v_sq == 1.0 and anti == 1.0 and v_n == 0.0
+    for player in (1, 2):
+        share, share3 = shares.group(player)
+        lock = covariance(share.plus, share3.plus) - covariance(share.minus, share3.minus)
+        assert lock >= 0.0, player
+        assert (lock == 0.0) == uncorrelated, player
 
 
 def test_mz_is_exact():
@@ -145,13 +157,12 @@ def test_mz_with_mode_mismatch():
 @pytest.mark.parametrize("player", [1, 2])
 def test_unity_protocols_cancel_dealer_noise(player):
     shares = encode()
-    share_a = shares.share(player)
     expect_v = 1.0 + 2.0 * V_SQ
     outputs = {
-        "pia": reconstruct_pia(share_a, shares.share3),
-        "two_opa": reconstruct_two_opa(share_a, shares.share3),
-        "single_ff": parametric_correction(reconstruct_single_ff(share_a, shares.share3)),
-        "double_ff": reconstruct_double_ff(share_a, shares.share3, shares.secret),
+        "pia": reconstruct_pia(shares, player),
+        "two_opa": reconstruct_two_opa(shares, player),
+        "single_ff": parametric_correction(reconstruct_single_ff(shares, player)),
+        "double_ff": reconstruct_double_ff(shares, player),
     }
     for name, out in outputs.items():
         rep = make_report(shares.secret, out)
@@ -167,9 +178,9 @@ def test_unity_protocols_cancel_dealer_noise(player):
 def test_pia_gain_validation():
     shares = encode()
     with pytest.raises(ValueError):
-        reconstruct_pia(shares.share1, shares.share3, 0.5)
+        reconstruct_pia(shares, 1, 0.5)
     with pytest.raises(ValueError):
-        reconstruct_two_opa(shares.share1, shares.share3, 0.0)
+        reconstruct_two_opa(shares, 1, 0.0)
 
 
 def test_single_ff_gain_map_matches_composition():
@@ -178,7 +189,7 @@ def test_single_ff_gain_map_matches_composition():
     for _ in range(5):
         r = rng.uniform(0.05, 0.95)
         g_e = rng.uniform(0.0, 4.0)
-        out = reconstruct_single_ff(shares.share1, shares.share3, r, g_e)
+        out = reconstruct_single_ff(shares, 1, r, g_e)
         g_p, g_m = secret_gains(shares.secret, out)
         exp_p, exp_m = single_ff_gain_map(r, g_e)
         assert g_p == pytest.approx(exp_p, abs=1e-12)
@@ -193,8 +204,7 @@ def test_single_ff_unity_electronic_gain():
 
 def test_solve_single_ff_unity_gain_with_losses():
     shares = encode()
-    out = reconstruct_single_ff(shares.share1, shares.share3, 2.0 / 3.0, None, mirror_reflectivity=50.0 / 51.0,
-                                eta_bs=0.97, eta_lo=0.96, secret=shares.secret)
+    out = reconstruct_single_ff(shares, 1, 2.0 / 3.0, None, mirror_reflectivity=50.0 / 51.0, eta_bs=0.97, eta_lo=0.96)
     g_p, g_m = secret_gains(shares.secret, out)
     assert g_p * g_m == pytest.approx(1.0, abs=1e-15)
 
@@ -206,9 +216,9 @@ def test_unreachable_gains_name_their_cause():
     shares = encode()
     for r in (0.0, 1.0):
         with pytest.raises(ValueError, match="^unity gain unreachable for this configuration$"):
-            reconstruct_single_ff(shares.share1, shares.share3, r, None, secret=shares.secret)
+            reconstruct_single_ff(shares, 1, r, None)
     with pytest.raises(ValueError, match=r"^optical gain 1\.0 is unreachable at reflectivity 0\.0$"):
-        reconstruct_double_ff(shares.share1, shares.share3, shares.secret, reflectivity=0.0)
+        reconstruct_double_ff(shares, 1, reflectivity=0.0)
 
 
 def test_unity_gain_solve_is_exact_to_a_few_ulp():
@@ -219,10 +229,10 @@ def test_unity_gain_solve_is_exact_to_a_few_ulp():
     for _ in range(1000):
         shares = encode(v_sq=rng.uniform(0.1, 1.0), v_n=rng.uniform(0.0, 5.0), eta_epr1_in=rng.uniform(0.9, 1.0))
         mirror = rng.choice((None, rng.uniform(0.9, 0.999)))
-        out = reconstruct_single_ff(shares.share(rng.choice((1, 2))), shares.share3, rng.uniform(0.05, 0.95), None,
+        out = reconstruct_single_ff(shares, rng.choice((1, 2)), rng.uniform(0.05, 0.95), None,
                                     det=DetectorSpec(rng.uniform(0.8, 1.0), rng.uniform(0.0, 0.1)),
                                     mirror_reflectivity=mirror, eta_bs=rng.uniform(0.9, 1.0),
-                                    eta_lo=rng.uniform(0.9, 1.0), secret=shares.secret)
+                                    eta_lo=rng.uniform(0.9, 1.0))
         g_p, g_m = secret_gains(shares.secret, out)
         worst = max(worst, abs(g_p * g_m - 1.0))
     assert worst <= 4 * math.ulp(1.0)
@@ -235,8 +245,7 @@ def test_double_ff_hits_requested_gain():
     shares = encode()
     for mirror, det in DOUBLE_FF_SETUPS:
         for target in (0.5, 1.0, 1.5):
-            out = reconstruct_double_ff(shares.share1, shares.share3, shares.secret, g_target=target, det=det,
-                                        mirror_reflectivity=mirror)
+            out = reconstruct_double_ff(shares, 1, g_target=target, det=det, mirror_reflectivity=mirror)
             g_p, g_m = secret_gains(shares.secret, out)
             assert g_p == pytest.approx(target, abs=1e-14), (mirror, det)
             assert g_m == pytest.approx(target, abs=1e-14), (mirror, det)
@@ -249,8 +258,7 @@ def test_double_ff_dark_noise_raises_both_variances_linearly(mirror):
     shares = encode()
 
     def variances(dark):
-        out = reconstruct_double_ff(shares.share1, shares.share3, shares.secret, det=DetectorSpec(0.93, dark),
-                                    mirror_reflectivity=mirror)
+        out = reconstruct_double_ff(shares, 1, det=DetectorSpec(0.93, dark), mirror_reflectivity=mirror)
         return variance(out.plus), variance(out.minus)
 
     v0, v1, v2 = (variances(dark) for dark in (0.0, 0.05, 0.1))
@@ -261,7 +269,7 @@ def test_double_ff_dark_noise_raises_both_variances_linearly(mirror):
 
 def test_double_ff_vacuum_port_cancels_at_unity():
     shares = encode()
-    out = reconstruct_double_ff(shares.share1, shares.share3, shares.secret, g_target=1.0)
+    out = reconstruct_double_ff(shares, 1, g_target=1.0)
     rep = make_report(shares.secret, out)
     for label, (cp, cm) in rep.coefficients.items():
         if label.startswith("dff_vac"):
@@ -314,6 +322,6 @@ def test_phase_flipped_secret_roundtrip():
     # the reconstruction but leaves variances unchanged.
     cfg = DealerConfig(v_sq=V_SQ, v_n=V_N, secret=phase_shift(new_coherent(5.0, 5.0), math.pi))
     shares = dealer_encode(cfg)
-    out = reconstruct_pia(shares.share1, shares.share3)
+    out = reconstruct_pia(shares, 1)
     rep = make_report(shares.secret, out)
     assert rep.v_out_plus == pytest.approx(1.0 + 2.0 * V_SQ, abs=1e-10)
